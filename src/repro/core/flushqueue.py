@@ -78,17 +78,14 @@ class _DrivePool:
             return self.oids[0]
         span = span_hi - span_lo
         index = bisect.bisect_left(self.oids, position)
-        best_oid = self.oids[0]
+        oids = self.oids
+        count = len(oids)
+        best_oid = oids[0]
         best_distance = span + 1
         # Candidates: neighbours of the insertion point plus the wrap-around
-        # extremes; the circular minimum must be one of these.
-        candidates = {
-            self.oids[index % len(self.oids)],
-            self.oids[(index - 1) % len(self.oids)],
-            self.oids[0],
-            self.oids[-1],
-        }
-        for oid in candidates:
+        # extremes; the circular minimum must be one of these.  Ties go to
+        # the smaller oid, so duplicates and visiting order do not matter.
+        for oid in (oids[index % count], oids[index - 1], oids[0], oids[-1]):
             diff = abs(oid - position) % span
             distance = min(diff, span - diff)
             if distance < best_distance or (distance == best_distance and oid < best_oid):
@@ -136,10 +133,7 @@ class FlushScheduler:
             "flush.settle_seconds", buckets=SETTLE_BUCKETS
         )
         # Submit time per queued oid, kept only while metrics are on: it
-        # feeds the settle-latency histogram (submit -> installed).  The
-        # same flag gates derived values (like the backlog sum in the
-        # completion path) whose *computation* would otherwise cost even
-        # though a disabled gauge discards them.
+        # feeds the settle-latency histogram (submit -> installed).
         self._measure_settle = metrics.enabled
         self._submit_times: Dict[int, float] = {}
 
@@ -147,6 +141,10 @@ class FlushScheduler:
         self.superseded_in_pool = 0
         self.demand_flushes = 0
         self.completed = 0
+        #: Queued requests over all pools, kept by :meth:`_enqueue` and
+        #: :meth:`_dequeue` (the only pool mutators) so :meth:`backlog`
+        #: is O(1).
+        self._backlog = 0
         self.peak_backlog = 0
         #: Writes whose drive exhausted its retry budget and went back to
         #: the pool (fault-injected runs only).
@@ -158,15 +156,11 @@ class FlushScheduler:
     def submit(self, record: DataLogRecord) -> None:
         """Queue a committed update for flushing (replaces a stale one)."""
         drive_index = self.partitioner.drive_of(record.oid)
-        fresh = self._pools[drive_index].add_or_replace(record)
+        fresh = self._enqueue(drive_index, record)
         self.submitted += 1
         self._m_submitted.inc()
         if not fresh:
             self.superseded_in_pool += 1
-        backlog = self.backlog()
-        if backlog > self.peak_backlog:
-            self.peak_backlog = backlog
-        self._m_depth.set(backlog)
         if self._measure_settle:
             self._submit_times.setdefault(record.oid, self.sim.now)
         if self.trace.enabled:
@@ -174,14 +168,13 @@ class FlushScheduler:
                 self.sim.now,
                 "flush",
                 "submit",
-                {"oid": record.oid, "drive": drive_index, "backlog": backlog},
+                {"oid": record.oid, "drive": drive_index, "backlog": self.backlog()},
             )
         self._kick(drive_index)
 
     def cancel(self, oid: int) -> Optional[DataLogRecord]:
         """Remove a pending request (it was demand-flushed or superseded)."""
-        drive_index = self.partitioner.drive_of(oid)
-        return self._pools[drive_index].remove(oid)
+        return self._dequeue(self.partitioner.drive_of(oid), oid)
 
     def demand_flush(self, record: DataLogRecord) -> None:
         """Flush ``record`` synchronously — the random-I/O head-block case.
@@ -193,7 +186,7 @@ class FlushScheduler:
         the log, not the database disks, is the bottleneck under study.
         """
         drive_index = self.partitioner.drive_of(record.oid)
-        self._pools[drive_index].remove(record.oid)
+        self._dequeue(drive_index, record.oid)
         drive = self.drives[drive_index]
         seek = self._seek_distance(drive, record.oid)
         drive.stats.record_write(0.0, seek)
@@ -214,7 +207,7 @@ class FlushScheduler:
 
     def backlog(self) -> int:
         """Pending requests over all drives (excludes in-service ones)."""
-        return sum(len(pool) for pool in self._pools)
+        return self._backlog
 
     def pending_oids(self) -> list[int]:
         """All queued oids (diagnostics/tests)."""
@@ -259,6 +252,26 @@ class FlushScheduler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _enqueue(self, drive_index: int, record: DataLogRecord) -> bool:
+        """Queue ``record`` on its drive; returns True if newly queued."""
+        fresh = self._pools[drive_index].add_or_replace(record)
+        if fresh:
+            self._set_backlog(self._backlog + 1)
+        return fresh
+
+    def _dequeue(self, drive_index: int, oid: int) -> Optional[DataLogRecord]:
+        """Take ``oid``'s queued request off its drive, if there is one."""
+        record = self._pools[drive_index].remove(oid)
+        if record is not None:
+            self._set_backlog(self._backlog - 1)
+        return record
+
+    def _set_backlog(self, backlog: int) -> None:
+        self._backlog = backlog
+        if backlog > self.peak_backlog:
+            self.peak_backlog = backlog
+        self._m_depth.set(backlog)
+
     def _kick(self, drive_index: int) -> None:
         drive = self.drives[drive_index]
         pool = self._pools[drive_index]
@@ -266,7 +279,7 @@ class FlushScheduler:
             return
         lo, hi = self.partitioner.range_of(drive_index)
         oid = pool.nearest(drive.position, lo, hi)
-        record = pool.remove(oid)
+        record = self._dequeue(drive_index, oid)
         assert record is not None
         self._in_service[drive_index] = oid
         seek = self._seek_distance(drive, oid)
@@ -278,8 +291,6 @@ class FlushScheduler:
             self._in_service[drive_index] = None
             self.completed += 1
             self._m_completed.inc()
-            if self._measure_settle:
-                self._m_depth.set(self.backlog())
             if self.trace.enabled:
                 self.trace.emit(
                     self.sim.now,
@@ -310,7 +321,7 @@ class FlushScheduler:
                     {"oid": oid, "drive": drive_index, "attempts": fault.attempts},
                 )
             if record.cell is not None:
-                pool.add_or_replace(record)
+                self._enqueue(drive_index, record)
             self.sim.after(
                 self.faults.plan.retry_backoff_seconds, self._kick, drive_index
             )

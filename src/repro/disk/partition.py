@@ -21,7 +21,7 @@ class RangePartitioner:
     instead of only the drives whose global range happens to overlap it.
     """
 
-    __slots__ = ("num_objects", "num_drives", "range_size", "base")
+    __slots__ = ("num_objects", "num_drives", "range_size", "base", "_ranges")
 
     def __init__(self, num_objects: int, num_drives: int, base: int = 0):
         if num_drives < 1:
@@ -39,23 +39,31 @@ class RangePartitioner:
         # The paper ignores the non-divisible case "for simplicity"; we give
         # the last drive the remainder instead of ignoring it.
         self.range_size = num_objects // num_drives
+        # Per-drive ``(lo, hi)`` computed once: the flush path asks for a
+        # drive's range on every seek-distance measurement.
+        self._ranges = tuple(
+            (
+                base + drive * self.range_size,
+                base + (drive + 1) * self.range_size
+                if drive < num_drives - 1
+                else base + num_objects,
+            )
+            for drive in range(num_drives)
+        )
 
     def drive_of(self, oid: int) -> int:
         """Drive index holding ``oid``."""
-        self._check_oid(oid)
+        if not self.base <= oid < self.base + self.num_objects:
+            raise ConfigurationError(
+                f"oid {oid} outside [{self.base}, {self.base + self.num_objects})"
+            )
         return min((oid - self.base) // self.range_size, self.num_drives - 1)
 
     def range_of(self, drive: int) -> tuple[int, int]:
         """Half-open oid interval ``[lo, hi)`` stored on ``drive``."""
         if not 0 <= drive < self.num_drives:
             raise ConfigurationError(f"drive {drive} out of range")
-        lo = self.base + drive * self.range_size
-        hi = (
-            self.base + (drive + 1) * self.range_size
-            if drive < self.num_drives - 1
-            else self.base + self.num_objects
-        )
-        return lo, hi
+        return self._ranges[drive]
 
     def distance(self, oid_a: int, oid_b: int) -> int:
         """Circular distance between two oids on the same drive.
@@ -68,16 +76,10 @@ class RangePartitioner:
             raise ConfigurationError(
                 f"oids {oid_a} and {oid_b} live on different drives"
             )
-        lo, hi = self.range_of(drive)
+        lo, hi = self._ranges[drive]
         span = hi - lo
         diff = abs(oid_a - oid_b) % span
         return min(diff, span - diff)
-
-    def _check_oid(self, oid: int) -> None:
-        if not self.base <= oid < self.base + self.num_objects:
-            raise ConfigurationError(
-                f"oid {oid} outside [{self.base}, {self.base + self.num_objects})"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

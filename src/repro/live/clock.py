@@ -4,9 +4,10 @@ The log managers, flush scheduler and samplers only ever touch the engine
 through four entry points — ``now``, ``at``, ``after`` and the introspection
 surface — so a scheduler that maps those onto an asyncio event loop lets the
 exact same manager code serve real requests.  The ordering contract is
-preserved: events fire in ``(time, seq)`` order, so two callbacks scheduled
-for the same instant run in scheduling order (FIFO), exactly as in the
-discrete-event engine.
+preserved: the heap holds the same ``(time, seq, handle)`` entries as the
+discrete-event engine (see :mod:`repro.sim.events`), so events fire in
+``(time, seq)`` order and two callbacks scheduled for the same instant run
+in scheduling order (FIFO), exactly as in the simulator.
 
 Two deliberate divergences from :class:`repro.sim.engine.Simulator`, both
 forced by physics:
@@ -42,7 +43,7 @@ class RealTimeScheduler:
     def __init__(self, loop: Optional[asyncio.AbstractEventLoop] = None):
         self._loop = loop if loop is not None else asyncio.get_event_loop()
         self._origin = self._loop.time()
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._events_executed = 0
         self._timer: Optional[asyncio.TimerHandle] = None
@@ -70,14 +71,14 @@ class RealTimeScheduler:
         self._drop_cancelled()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def snapshot(self) -> dict:
         return {
             "now": self.now,
             "events_executed": self._events_executed,
             "heap_depth": len(self._heap),
-            "next_event_time": self._heap[0].time if self._heap else None,
+            "next_event_time": self._heap[0][0] if self._heap else None,
         }
 
     # ------------------------------------------------------------------
@@ -89,21 +90,13 @@ class RealTimeScheduler:
         Deadlines at or before the current instant run as soon as the loop
         is free, after already-queued events with earlier ``(time, seq)``.
         """
-        handle = EventHandle(max(time, self.now), self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
-        self._arm()
-        return handle
+        return self._push(max(time, self.now), callback, args)
 
     def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` ``delay`` seconds from now."""
         if delay < 0:
             raise SchedulingError(f"negative delay {delay!r}")
-        handle = EventHandle(self.now + delay, self._seq, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, handle)
-        self._arm()
-        return handle
+        return self._push(self.now + delay, callback, args)
 
     def post(self, callback: Callable[..., Any], *args: Any) -> None:
         """Run ``callback(*args)`` on the loop thread as soon as possible.
@@ -119,9 +112,9 @@ class RealTimeScheduler:
     def step(self) -> bool:
         """Execute the next *due* event.  Returns ``False`` if none is due."""
         self._drop_cancelled()
-        if not self._heap or self._heap[0].time > self.now:
+        if not self._heap or self._heap[0][0] > self.now:
             return False
-        handle = heapq.heappop(self._heap)
+        _, _, handle = heapq.heappop(self._heap)
         handle._mark_fired()
         self._events_executed += 1
         handle.callback(*handle.args)
@@ -133,16 +126,23 @@ class RealTimeScheduler:
             self._timer.cancel()
             self._timer = None
             self._armed_time = None
-        for handle in self._heap:
+        for _, _, handle in self._heap:
             handle.cancel()
         self._heap.clear()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> EventHandle:
+        handle = EventHandle(time, self._seq, callback, args)
+        heapq.heappush(self._heap, (time, self._seq, handle))
+        self._seq += 1
+        self._arm()
+        return handle
+
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0]._state == EventHandle._CANCELLED:
+        while heap and heap[0][2]._state == EventHandle._CANCELLED:
             heapq.heappop(heap)
 
     def _arm(self) -> None:
@@ -154,7 +154,7 @@ class RealTimeScheduler:
                 self._timer = None
                 self._armed_time = None
             return
-        earliest = self._heap[0].time
+        earliest = self._heap[0][0]
         if self._armed_time is not None and self._armed_time <= earliest:
             return  # the armed timer already covers it
         if self._timer is not None:
@@ -169,13 +169,13 @@ class RealTimeScheduler:
         heap = self._heap
         cancelled = EventHandle._CANCELLED
         while heap:
-            head = heap[0]
-            if head._state == cancelled:
+            time, _, handle = heap[0]
+            if handle._state == cancelled:
                 heapq.heappop(heap)
                 continue
-            if head.time > self.now:
+            if time > self.now:
                 break
-            handle = heapq.heappop(heap)
+            heapq.heappop(heap)
             handle._mark_fired()
             self._events_executed += 1
             handle.callback(*handle.args)

@@ -1,8 +1,10 @@
 """The discrete-event simulation core.
 
-:class:`Simulator` keeps a binary heap of :class:`~repro.sim.events.EventHandle`
-objects ordered by ``(time, seq)``.  The sequence number makes execution
-order deterministic for simultaneous events: events scheduled earlier fire
+:class:`Simulator` keeps a binary heap of ``(time, seq, handle)`` tuples
+(the layout is documented in :mod:`repro.sim.events`), so :mod:`heapq`
+compares entries in C and the :class:`~repro.sim.events.EventHandle` itself
+carries no ordering.  The sequence number makes execution order
+deterministic for simultaneous events: events scheduled earlier fire
 earlier.  That determinism is what makes the paper's "reduce disk space
 until transactions are killed" search reproducible.
 
@@ -38,7 +40,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._events_executed = 0
         self._running = False
@@ -66,7 +68,7 @@ class Simulator:
         self._drop_cancelled()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def snapshot(self) -> dict:
         """Engine state as a JSON-ready dict (run manifests / diagnostics).
@@ -80,7 +82,7 @@ class Simulator:
             "now": self._now,
             "events_executed": self._events_executed,
             "heap_depth": len(self._heap),
-            "next_event_time": self._heap[0].time if self._heap else None,
+            "next_event_time": self._heap[0][0] if self._heap else None,
         }
 
     # ------------------------------------------------------------------
@@ -97,9 +99,10 @@ class Simulator:
             raise SchedulingError(
                 f"cannot schedule event at t={time!r}; current time is {self._now!r}"
             )
-        handle = EventHandle(time, self._seq, callback, args)
-        self._seq += 1
-        _heappush(self._heap, handle)
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args)
+        self._seq = seq + 1
+        _heappush(self._heap, (time, seq, handle))
         return handle
 
     def after(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
@@ -110,9 +113,11 @@ class Simulator:
         # and the past-time check would both be pure overhead.
         if delay < 0:
             raise SchedulingError(f"negative delay {delay!r}")
-        handle = EventHandle(self._now + delay, self._seq, callback, args)
-        self._seq += 1
-        _heappush(self._heap, handle)
+        time = self._now + delay
+        seq = self._seq
+        handle = EventHandle(time, seq, callback, args)
+        self._seq = seq + 1
+        _heappush(self._heap, (time, seq, handle))
         return handle
 
     # ------------------------------------------------------------------
@@ -123,8 +128,7 @@ class Simulator:
         self._drop_cancelled()
         if not self._heap:
             return False
-        handle = heapq.heappop(self._heap)
-        self._now = handle.time
+        self._now, _, handle = heapq.heappop(self._heap)
         handle._mark_fired()
         self._events_executed += 1
         handle.callback(*handle.args)
@@ -156,13 +160,14 @@ class Simulator:
         cancelled_state = EventHandle._CANCELLED
         try:
             while heap:
-                handle = pop(heap)
-                if handle.time > end_time:
-                    heapq.heappush(heap, handle)
+                entry = pop(heap)
+                time, _, handle = entry
+                if time > end_time:
+                    heapq.heappush(heap, entry)
                     break
                 if handle._state == cancelled_state:
                     continue
-                self._now = handle.time
+                self._now = time
                 handle._state = EventHandle._FIRED
                 executed += 1
                 handle.callback(*handle.args)
@@ -182,10 +187,10 @@ class Simulator:
         cancelled_state = EventHandle._CANCELLED
         try:
             while heap:
-                handle = pop(heap)
+                time, _, handle = pop(heap)
                 if handle._state == cancelled_state:
                     continue
-                self._now = handle.time
+                self._now = time
                 handle._state = EventHandle._FIRED
                 executed += 1
                 handle.callback(*handle.args)
@@ -198,7 +203,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def _drop_cancelled(self) -> None:
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -4,6 +4,12 @@ An :class:`EventHandle` is returned by :meth:`repro.sim.engine.Simulator.at`
 and :meth:`~repro.sim.engine.Simulator.after`.  It supports O(1) cancellation
 (the engine lazily skips cancelled entries when they surface at the top of
 the heap) and exposes the scheduled time for introspection in tests.
+
+Heap entry layout, shared by :class:`~repro.sim.engine.Simulator` and
+:class:`~repro.live.clock.RealTimeScheduler`: each scheduler's heap holds
+``(time, seq, handle)`` tuples.  ``seq`` is unique per scheduler, so tuple
+comparison (done in C by :mod:`heapq`) never reaches the handle, and
+handles themselves define no ordering.
 """
 
 from __future__ import annotations
@@ -60,11 +66,6 @@ class EventHandle:
 
     def _mark_fired(self) -> None:
         self._state = EventHandle._FIRED
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {0: "pending", 1: "cancelled", 2: "fired"}[self._state]

@@ -174,6 +174,10 @@ class WorkloadGenerator:
             return
         run.outcome = TxOutcome.COMMITTED
         run.ack_time = ack_time
+        # Every scheduled record write has fired by now, and each handle's
+        # args point back at ``run``: dropping them breaks the cycle so
+        # refcounting, not the cyclic collector, frees the finished run.
+        run.pending_events.clear()
         self.stats.committed += 1
         self.stats.per_type_committed[run.tx_type.name] = (
             self.stats.per_type_committed.get(run.tx_type.name, 0) + 1

@@ -47,7 +47,8 @@ class TransactionRun:
         self.updates: List[Tuple[int, int, float]] = []
         #: LSN of each update's data record, parallel to :attr:`updates`.
         self.update_lsns: List[int] = []
-        #: Handles for scheduled record writes, cancelled on kill.
+        #: Handles for scheduled record writes, cancelled on kill and
+        #: dropped on commit (each handle references this run).
         self.pending_events: List[EventHandle] = []
 
     @property

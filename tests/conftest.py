@@ -9,6 +9,7 @@ import pytest
 from repro.core.ephemeral import EphemeralLogManager
 from repro.core.firewall import FirewallLogManager
 from repro.db.database import StableDatabase
+from repro.faults.plan import FaultPlan
 from repro.records.base import next_lsn_factory
 from repro.records.data import DataLogRecord
 from repro.records.tx import BeginRecord, CommitRecord
@@ -29,6 +30,23 @@ def rng() -> SimRng:
 @pytest.fixture
 def lsn():
     return next_lsn_factory()
+
+
+class ScriptedFaults:
+    """Duck-typed injector whose flush decisions follow a script."""
+
+    enabled = True
+    injects_log_writes = False
+    injects_latent = False
+    injects_flush = True
+    checksum_blocks = False
+
+    def __init__(self, script, max_retries=1):
+        self.script = list(script)
+        self.plan = FaultPlan(max_retries=max_retries)
+
+    def flush_write_fails(self, drive_index):
+        return self.script.pop(0) if self.script else False
 
 
 def make_data_record(lsn: int = 0, tid: int = 1, timestamp: float = 0.0,

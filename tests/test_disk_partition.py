@@ -194,3 +194,50 @@ class TestBaseOffset:
         drive = plain.drive_of(oid)
         lo, hi = plain.range_of(drive)
         assert shifted.range_of(drive) == (lo + base, hi + base)
+
+
+class TestCachedGeometry:
+    """The per-drive ranges are cached at construction; every answer must
+    still equal the closed-form geometry, errors included."""
+
+    @given(
+        num_objects=st.integers(min_value=1, max_value=400),
+        num_drives=st.integers(min_value=1, max_value=20),
+        base=st.integers(min_value=0, max_value=1000),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cached_answers_match_closed_form(self, num_objects, num_drives, base, data):
+        if num_objects < num_drives:
+            return
+        part = RangePartitioner(num_objects, num_drives, base=base)
+        size = num_objects // num_drives
+
+        def closed_range(drive):
+            hi = base + num_objects if drive == num_drives - 1 else base + (drive + 1) * size
+            return base + drive * size, hi
+
+        for drive in range(num_drives):
+            assert part.range_of(drive) == closed_range(drive)
+        oid_a = data.draw(st.integers(base, base + num_objects - 1))
+        drive = min((oid_a - base) // size, num_drives - 1)
+        assert part.drive_of(oid_a) == drive
+        lo, hi = closed_range(drive)
+        oid_b = data.draw(st.integers(lo, hi - 1))
+        diff = abs(oid_a - oid_b) % (hi - lo)
+        assert part.distance(oid_a, oid_b) == min(diff, hi - lo - diff)
+
+        outside = data.draw(
+            st.one_of(
+                st.integers(-50, base - 1) if base > 0 else st.just(-1),
+                st.integers(base + num_objects, base + num_objects + 50),
+            )
+        )
+        with pytest.raises(ConfigurationError):
+            part.drive_of(outside)
+        if num_drives > 1:
+            other_drive = (drive + data.draw(st.integers(1, num_drives - 1))) % num_drives
+            other_lo, other_hi = closed_range(other_drive)
+            other = data.draw(st.integers(other_lo, other_hi - 1))
+            with pytest.raises(ConfigurationError):
+                part.distance(oid_a, other)

@@ -14,6 +14,8 @@ from repro.harness.results import SimulationResult
 from repro.harness.simulator import run_simulation
 from repro.records.data import DataLogRecord
 
+from tests.conftest import ScriptedFaults
+
 
 def _image(*records, slot=0, capacity=2000):
     img = BlockImage(BlockAddress(0, slot), capacity)
@@ -106,26 +108,9 @@ class TestCircularRetire:
         assert set(seen) == {0, 2}
 
 
-class _ScriptedFaults:
-    """Duck-typed injector whose flush decisions follow a script."""
-
-    enabled = True
-    injects_log_writes = False
-    injects_latent = False
-    injects_flush = True
-    checksum_blocks = False
-
-    def __init__(self, script, max_retries=1):
-        self.script = list(script)
-        self.plan = FaultPlan(max_retries=max_retries)
-
-    def flush_write_fails(self, drive_index):
-        return self.script.pop(0) if self.script else False
-
-
 class TestDriveFaults:
     def test_transient_flush_fault_retried_in_place(self, sim):
-        faults = _ScriptedFaults([True, False], max_retries=1)
+        faults = ScriptedFaults([True, False], max_retries=1)
         drive = DiskDrive(sim, 0, 0.01, faults=faults)
         done = []
         drive.write(5, lambda: done.append(sim.now), on_fault=lambda f: None)
@@ -136,7 +121,7 @@ class TestDriveFaults:
         assert drive.stats.writes == 1
 
     def test_exhausted_retries_surface_typed_fault(self, sim):
-        faults = _ScriptedFaults([True, True], max_retries=1)
+        faults = ScriptedFaults([True, True], max_retries=1)
         drive = DiskDrive(sim, 0, 0.01, faults=faults)
         seen = []
         drive.write(5, lambda: seen.append("ok"), on_fault=seen.append)
@@ -148,7 +133,7 @@ class TestDriveFaults:
         assert not drive.busy  # usable again after the failure
 
     def test_fault_without_handler_is_an_error(self, sim):
-        faults = _ScriptedFaults([True, True], max_retries=1)
+        faults = ScriptedFaults([True, True], max_retries=1)
         drive = DiskDrive(sim, 0, 0.01, faults=faults)
         drive.write(5, lambda: None)
         with pytest.raises(SimulationError):

@@ -3,15 +3,23 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.flushqueue import FlushScheduler
 from repro.db.database import StableDatabase
 from repro.disk.partition import RangePartitioner
+from repro.faults.injector import NULL_FAULTS, FaultInjector
+from repro.faults.plan import FaultPlan
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.sim.engine import Simulator
+from repro.sim.rng import SimRng
 
-from tests.conftest import make_data_record
+from tests.conftest import ScriptedFaults, make_data_record
 
 
-def make_scheduler(sim, num_objects=100, drives=2, write_seconds=0.01, completions=None):
+def make_scheduler(sim, num_objects=100, drives=2, write_seconds=0.01, completions=None,
+                   metrics=NULL_METRICS, faults=NULL_FAULTS):
     sink = completions if completions is not None else []
     db = StableDatabase(num_objects)
     scheduler = FlushScheduler(
@@ -21,8 +29,17 @@ def make_scheduler(sim, num_objects=100, drives=2, write_seconds=0.01, completio
         drives,
         write_seconds,
         on_flush_complete=lambda record: sink.append(record),
+        metrics=metrics,
+        faults=faults,
     )
     return scheduler, db, sink
+
+
+def live_record(lsn, oid):
+    """A data record that still has a cell, so a failed flush requeues it."""
+    record = make_data_record(lsn=lsn, oid=oid, value=lsn, timestamp=float(lsn))
+    record.cell = object()
+    return record
 
 
 class TestSubmission:
@@ -132,3 +149,77 @@ class TestDemandFlush:
         sim.run()
         scheduler.demand_flush(make_data_record(lsn=1, oid=40))
         assert scheduler.mean_seek_distance() == pytest.approx(30.0)
+
+
+class TestBacklogAccounting:
+    def test_requeue_raises_peak_and_gauge(self, sim):
+        metrics = MetricsRegistry()
+        scheduler, db, _ = make_scheduler(
+            sim, drives=1, metrics=metrics, faults=ScriptedFaults([True], max_retries=0)
+        )
+        scheduler.submit(live_record(0, 1))  # in service; its write fails
+        scheduler.submit(live_record(1, 2))  # queued: backlog 1
+        assert scheduler.peak_backlog == 1
+        sim.run_until(0.011)  # the failed write went back to the pool
+        assert scheduler.flush_requeues == 1
+        assert scheduler.backlog() == 2
+        assert scheduler.peak_backlog == 2
+        depth = metrics.gauge("flush.depth")
+        assert (depth.value, depth.peak) == (2, 2)
+        sim.run()
+        assert scheduler.backlog() == 0 and depth.value == 0
+        assert db.value_of(1) == 0 and db.value_of(2) == 1
+
+    def test_cancel_and_demand_flush_update_gauge(self, sim):
+        metrics = MetricsRegistry()
+        scheduler, _, _ = make_scheduler(sim, drives=1, metrics=metrics)
+        for lsn, oid in enumerate((1, 2, 3)):
+            scheduler.submit(live_record(lsn, oid))
+        depth = metrics.gauge("flush.depth")
+        assert depth.value == 2
+        scheduler.cancel(2)
+        assert depth.value == 1
+        scheduler.demand_flush(live_record(3, 3))
+        assert depth.value == 0 and depth.peak == 2
+
+
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("submit"), st.integers(0, 19)),
+        st.tuples(st.just("cancel"), st.integers(0, 19)),
+        st.tuples(st.just("demand"), st.integers(0, 19)),
+        st.tuples(st.just("step"), st.integers(1, 4)),
+    ),
+    max_size=60,
+)
+
+
+@given(ops=_OPS, faulty=st.booleans(), seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_backlog_counter_matches_pools(ops, faulty, seed):
+    sim = Simulator()
+    faults = (
+        FaultInjector(FaultPlan(flush_fault_rate=0.4, max_retries=0), SimRng(seed))
+        if faulty
+        else NULL_FAULTS
+    )
+    scheduler, _, _ = make_scheduler(sim, num_objects=20, drives=2, faults=faults)
+
+    def check():
+        assert scheduler.backlog() == sum(len(pool) for pool in scheduler._pools)
+        assert scheduler.peak_backlog >= scheduler.backlog()
+
+    for lsn, (op, arg) in enumerate(ops):
+        if op == "submit":  # fresh, or superseding a queued oid
+            scheduler.submit(live_record(lsn, arg))
+        elif op == "cancel":
+            scheduler.cancel(arg)
+        elif op == "demand":
+            scheduler.demand_flush(live_record(lsn, arg))
+        else:
+            for _ in range(arg):
+                sim.step()
+        check()
+    while sim.step():
+        check()
+    assert scheduler.backlog() == 0

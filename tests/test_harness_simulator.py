@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.core.ephemeral import EphemeralLogManager
@@ -103,3 +105,41 @@ class TestExecution:
         result = Simulation(small(long_fraction=1.0)).run()
         # 10-second transactions in a 10-second run: most never finish.
         assert result.transactions_unfinished > 0
+
+
+class TestPaperPointPins:
+    """The paper points at 60 simulated seconds, pinned value for value.
+
+    Any change to the engine, workload or flush path that reorders or
+    drops an event moves at least one of these numbers.
+    """
+
+    @pytest.mark.parametrize(
+        "config, events, bandwidth",
+        [
+            (
+                SimulationConfig.ephemeral((18, 16), recirculation=True, long_fraction=0.05,
+                                           runtime=60.0, collect_truth=True),
+                37275,
+                12.633333333333333,
+            ),
+            (
+                SimulationConfig.firewall(123, long_fraction=0.05, runtime=60.0,
+                                          collect_truth=True),
+                37203,
+                11.433333333333334,
+            ),
+        ],
+        ids=["el-18-16", "fw-123"],
+    )
+    def test_paper_point_is_unchanged(self, config, events, bandwidth):
+        simulation = Simulation(config)
+        result = simulation.run()
+        acked = "\n".join(repr(tuple(u)) for u in simulation.generator.acked_updates)
+        assert result.events_executed == events
+        assert result.total_bandwidth_wps == bandwidth
+        assert result.mean_commit_latency == 0.06274289869950855
+        assert len(simulation.generator.acked_updates) == 12198
+        assert hashlib.sha256(acked.encode()).hexdigest() == (
+            "3095bf2ff401363d4482dfce1bcb616e3302e2f9ecde4c2a17c137b148f6ee12"
+        )

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 from typing import Callable, Optional
 
 import pytest
 
 from repro.core.interface import LogManager
+from repro.harness.config import SimulationConfig
+from repro.harness.simulator import Simulation
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRng
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.spec import TransactionType, WorkloadMix, paper_mix
-from repro.workload.transactions import TxOutcome
+from repro.workload.transactions import TransactionRun, TxOutcome
 
 
 class FakeManager(LogManager):
@@ -181,3 +184,32 @@ class TestOutcomes:
         begun = generator.stats.per_type_begun
         assert begun.get("short-1s", 0) + begun.get("long-10s", 0) == 20
         assert generator.stats.committed == 20
+
+
+class TestRunLifetime:
+    def test_committed_runs_are_freed_by_refcount(self):
+        """A committed run must not sit in a reference cycle with its fired
+        event handles: only the cyclic collector could free it then."""
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            simulation = Simulation(
+                SimulationConfig.ephemeral((18, 16), recirculation=True, runtime=20.0)
+            )
+            result = simulation.run()
+            assert result.transactions_committed > 0
+            del simulation, result
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = sum(
+                1
+                for obj in gc.garbage
+                if isinstance(obj, TransactionRun) and obj.outcome is TxOutcome.COMMITTED
+            )
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            if was_enabled:
+                gc.enable()
+        assert leaked == 0, f"{leaked} committed runs needed the cyclic collector"
