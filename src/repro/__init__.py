@@ -14,51 +14,53 @@ Quickstart::
                                         long_fraction=0.05, runtime=60.0)
     result = run_simulation(config)
     print(result.summary())
+
+The names below load on first use (PEP 562), so ``import repro`` and any
+``repro.<sub>.<module>`` import stay cheap: each entry point pays only for
+the modules it runs.
 """
 
-from repro.core.ephemeral import EphemeralLogManager
-from repro.core.firewall import FirewallLogManager
-from repro.core.hybrid import HybridLogManager
-from repro.core.interface import LogManager, UnflushedHeadPolicy
-from repro.core.killpolicy import KillPolicy
-from repro.core.placement import LifetimePlacementPolicy
-from repro.core.sizing import SizingAdvice, recommend_generation_sizes
-from repro.harness.config import SimulationConfig, Technique
-from repro.harness.results import SimulationResult
-from repro.harness.scale import Scale
-from repro.harness.search import SpaceSearch, minimum_el_sizes, minimum_fw_blocks
-from repro.harness.simulator import Simulation, run_simulation
-from repro.recovery.single_pass import SinglePassRecovery
-from repro.recovery.two_pass import TwoPassRecovery
-from repro.recovery.verify import RecoveryVerifier
-from repro.workload.spec import TransactionType, WorkloadMix, paper_mix
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "EphemeralLogManager",
-    "FirewallLogManager",
-    "HybridLogManager",
-    "KillPolicy",
-    "LifetimePlacementPolicy",
-    "LogManager",
-    "RecoveryVerifier",
-    "SizingAdvice",
-    "Scale",
-    "Simulation",
-    "SimulationConfig",
-    "SimulationResult",
-    "SinglePassRecovery",
-    "SpaceSearch",
-    "Technique",
-    "TransactionType",
-    "TwoPassRecovery",
-    "UnflushedHeadPolicy",
-    "WorkloadMix",
-    "minimum_el_sizes",
-    "minimum_fw_blocks",
-    "paper_mix",
-    "recommend_generation_sizes",
-    "run_simulation",
-    "__version__",
-]
+#: Public name -> the module that defines it.
+_EXPORTS = {
+    "EphemeralLogManager": "repro.core.ephemeral",
+    "FirewallLogManager": "repro.core.firewall",
+    "HybridLogManager": "repro.core.hybrid",
+    "KillPolicy": "repro.core.killpolicy",
+    "LifetimePlacementPolicy": "repro.core.placement",
+    "LogManager": "repro.core.interface",
+    "UnflushedHeadPolicy": "repro.core.interface",
+    "SizingAdvice": "repro.core.sizing",
+    "recommend_generation_sizes": "repro.core.sizing",
+    "Simulation": "repro.harness.simulator",
+    "run_simulation": "repro.harness.simulator",
+    "SimulationConfig": "repro.harness.config",
+    "Technique": "repro.harness.config",
+    "SimulationResult": "repro.harness.results",
+    "Scale": "repro.harness.scale",
+    "SpaceSearch": "repro.harness.search",
+    "minimum_el_sizes": "repro.harness.search",
+    "minimum_fw_blocks": "repro.harness.search",
+    "SinglePassRecovery": "repro.recovery.single_pass",
+    "TwoPassRecovery": "repro.recovery.two_pass",
+    "RecoveryVerifier": "repro.recovery.verify",
+    "TransactionType": "repro.workload.spec",
+    "WorkloadMix": "repro.workload.spec",
+    "paper_mix": "repro.workload.spec",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
+
+def __dir__():
+    return sorted([*globals(), *_EXPORTS])

@@ -10,6 +10,9 @@ Examples::
     repro recover --crash-at 40 --runtime 60
     repro chaos --technique el --rate 0.1 --crashes 3 --runtime 60
     repro cache clear
+
+Each ``_cmd_*`` handler imports what it runs, so ``repro serve`` never
+loads the simulator and no command pays for another's dependencies.
 """
 
 from __future__ import annotations
@@ -18,50 +21,18 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.harness.config import SimulationConfig, Technique
-from repro.harness.experiments import (
-    headline_claims,
-    run_figure_7,
-    run_figures_4_5_6,
-    run_scarce_flush,
-)
-from repro.harness.parallel import ParallelRunner, default_jobs
-from repro.harness.scale import Scale
-from repro.harness.search import SpaceSearch
-from repro.harness.simulator import Simulation, run_simulation
-from repro.harness.sweep import SweepCache
-from repro.core.sizing import recommend_generation_sizes
+from repro import __version__
 from repro.errors import ConfigurationError
-from repro.faults.crash import run_crash_consistency
-from repro.faults.plan import FaultPlan
-from repro.metrics.report import (
-    format_manifest,
-    format_trace_summary,
-)
-from repro.obs import ObsConfig, read_jsonl, summarise_events
-from repro.obs.events import event_time_span
-from repro.obs.manifest import RunManifest
-from repro.recovery.single_pass import SinglePassRecovery
-from repro.recovery.verify import RecoveryVerifier
-from repro.workload.spec import SkewSpec, paper_mix
 
+if TYPE_CHECKING:
+    from repro.harness.config import SimulationConfig
+    from repro.workload.spec import SkewSpec
 
-def _version() -> str:
-    """The installed distribution version, falling back to the package's."""
-    try:
-        from importlib.metadata import PackageNotFoundError, version
-
-        try:
-            return version("repro")
-        except PackageNotFoundError:
-            pass
-    except ImportError:  # pragma: no cover - 3.10+ always has it
-        pass
-    import repro
-
-    return repro.__version__
+#: ``Technique`` values, spelled out so building the parser imports no
+#: simulator code (a test keeps the two in step).
+TECHNIQUES = ("el", "fw", "hybrid")
 
 
 def _parse_sizes(text: str) -> tuple[int, ...]:
@@ -81,6 +52,8 @@ def _positive_int(text: str) -> int:
 
 def _skew_spec(text: str) -> SkewSpec:
     """argparse type for --skew HOT_FRACTION:HOT_PROBABILITY (e.g. 0.01:0.9)."""
+    from repro.workload.spec import SkewSpec
+
     try:
         return SkewSpec.parse(text)
     except Exception as exc:
@@ -121,6 +94,8 @@ def _listen_port(text: str) -> int:
 
 
 def _base_config(args: argparse.Namespace) -> SimulationConfig:
+    from repro.harness.config import SimulationConfig, Technique
+
     technique = Technique(args.technique)
     sizes = _parse_sizes(args.sizes)
     if technique is Technique.FIREWALL:
@@ -142,7 +117,7 @@ def _base_config(args: argparse.Namespace) -> SimulationConfig:
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--technique", choices=[t.value for t in Technique], default="el"
+        "--technique", choices=TECHNIQUES, default="el"
     )
     parser.add_argument(
         "--sizes",
@@ -179,12 +154,23 @@ def _add_jobs_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
         type=_positive_int,
-        default=default_jobs(),
+        default=None,
         help="worker processes for independent runs (default: $REPRO_JOBS or 1)",
     )
 
 
+def _jobs(args: argparse.Namespace) -> int:
+    """``--jobs``, or the ``$REPRO_JOBS`` default when it was not given."""
+    if args.jobs is not None:
+        return args.jobs
+    from repro.harness.parallel import default_jobs
+
+    return default_jobs()
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.harness.simulator import run_simulation
+
     result = run_simulation(_base_config(args))
     print(f"technique            : {result.technique}")
     print(f"generation sizes     : {result.generation_sizes}")
@@ -208,8 +194,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.harness.config import Technique
+    from repro.harness.parallel import ParallelRunner
+    from repro.harness.scale import Scale
+    from repro.harness.search import SpaceSearch
+
     config = _base_config(args)
-    with ParallelRunner(jobs=args.jobs) as runner:
+    with ParallelRunner(jobs=_jobs(args)) as runner:
         search = SpaceSearch(config, parallel=runner)
         if config.technique is Technique.FIREWALL:
             outcome = search.fw_minimum()
@@ -227,10 +218,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.harness.experiments import (
+        headline_claims,
+        run_figure_7,
+        run_figures_4_5_6,
+        run_scarce_flush,
+    )
+    from repro.harness.scale import Scale
+    from repro.harness.sweep import SweepCache
+
     scale = Scale.from_env()
     cache = SweepCache(enabled=not args.no_cache)
     manifest_dir = args.manifest_dir
-    jobs = args.jobs
+    jobs = _jobs(args)
     which = args.which
     if which in ("4", "5", "6"):
         result = run_figures_4_5_6(
@@ -262,6 +262,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Run one observed simulation: JSONL trace + manifest + summary."""
+    from repro.harness.simulator import Simulation
+    from repro.metrics.report import format_trace_summary
+    from repro.obs import ObsConfig
+    from repro.obs.events import event_time_span, summarise_events
+
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"trace-{args.technique}-seed{args.seed}"
@@ -306,6 +311,10 @@ def _looks_like_manifest(path: Path) -> bool:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     """Summarise previously exported traces and manifests."""
+    from repro.metrics.report import format_manifest, format_trace_summary
+    from repro.obs.events import event_time_span, read_jsonl, summarise_events
+    from repro.obs.manifest import RunManifest
+
     status = 0
     for index, name in enumerate(args.paths):
         path = Path(name)
@@ -334,6 +343,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
+    from repro.harness.simulator import Simulation
+    from repro.recovery.single_pass import SinglePassRecovery
+    from repro.recovery.verify import RecoveryVerifier
+
     config = _base_config(args).replace(collect_truth=True)
     simulation = Simulation(config)
     simulation.run_until(args.crash_at)
@@ -373,6 +386,9 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     """Fault-injected run with crash-consistency verification."""
+    from repro.faults.crash import run_crash_consistency
+    from repro.faults.plan import FaultPlan
+
     config = _base_config(args)
     crash_times = tuple(
         config.runtime * (index + 1) / (args.crashes + 1)
@@ -428,6 +444,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
+    from repro.core.sizing import recommend_generation_sizes
+    from repro.workload.spec import paper_mix
+
     mix = paper_mix(args.mix)
     advice = recommend_generation_sizes(
         mix,
@@ -443,6 +462,9 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     print(f"modelled inflow      : "
           f"{', '.join(f'{b:,.0f} B/s' for b in advice.inflow_bytes_per_second)}")
     if args.validate:
+        from repro.harness.config import SimulationConfig
+        from repro.harness.simulator import run_simulation
+
         result = run_simulation(
             SimulationConfig.ephemeral(
                 advice.generation_sizes,
@@ -548,6 +570,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
+    from repro.harness.sweep import SweepCache
+
     cache = SweepCache()
     if args.action == "clear":
         removed = cache.clear()
@@ -571,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_version()}"
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

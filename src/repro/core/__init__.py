@@ -16,44 +16,3 @@ Public surface:
   lists, the LOT and LTT, block buffers with group commit, generations and
   the locality-aware flush scheduler.
 """
-
-from repro.core.buffers import BlockBuffer, BufferPool
-from repro.core.cells import Cell, CellList
-from repro.core.ephemeral import EphemeralLogManager
-from repro.core.firewall import FirewallLogManager
-from repro.core.flushqueue import FlushScheduler
-from repro.core.generation import Generation
-from repro.core.hybrid import HybridLogManager
-from repro.core.interface import LogManager, UnflushedHeadPolicy
-from repro.core.killpolicy import KillPolicy
-from repro.core.lot import LoggedObjectTable, LotEntry
-from repro.core.ltt import LoggedTransactionTable, LttEntry, TxStatus
-from repro.core.memory import MemoryModel
-from repro.core.placement import LifetimePlacementPolicy
-from repro.core.sharded import ShardedLogManager
-from repro.core.sizing import SizingAdvice, recommend_generation_sizes
-
-__all__ = [
-    "BlockBuffer",
-    "BufferPool",
-    "Cell",
-    "CellList",
-    "EphemeralLogManager",
-    "FirewallLogManager",
-    "FlushScheduler",
-    "Generation",
-    "HybridLogManager",
-    "KillPolicy",
-    "LifetimePlacementPolicy",
-    "LogManager",
-    "LoggedObjectTable",
-    "LoggedTransactionTable",
-    "LotEntry",
-    "LttEntry",
-    "MemoryModel",
-    "ShardedLogManager",
-    "SizingAdvice",
-    "TxStatus",
-    "UnflushedHeadPolicy",
-    "recommend_generation_sizes",
-]

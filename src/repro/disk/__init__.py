@@ -10,18 +10,3 @@ Models the two kinds of disk resources the paper's simulator uses:
   range-partitioned (:class:`~repro.disk.partition.RangePartitioner`), used
   by the flush scheduler with locality-aware servicing.
 """
-
-from repro.disk.block import BlockAddress, BlockImage
-from repro.disk.circular import CircularBlockArray
-from repro.disk.drive import DiskDrive
-from repro.disk.partition import RangePartitioner
-from repro.disk.stats import DriveStats
-
-__all__ = [
-    "BlockAddress",
-    "BlockImage",
-    "CircularBlockArray",
-    "DiskDrive",
-    "RangePartitioner",
-    "DriveStats",
-]

@@ -1,26 +1,1 @@
 """Experiment harness: configuration, simulation wiring, searches, figures."""
-
-from repro.harness.config import SimulationConfig, Technique
-from repro.harness.parallel import ParallelRunner, default_jobs
-from repro.harness.results import SimulationResult
-from repro.harness.simulator import Simulation, run_simulation
-from repro.harness.search import (
-    SpaceSearch,
-    minimum_el_sizes,
-    minimum_fw_blocks,
-)
-from repro.harness.scale import Scale
-
-__all__ = [
-    "ParallelRunner",
-    "Scale",
-    "Simulation",
-    "SimulationConfig",
-    "SimulationResult",
-    "SpaceSearch",
-    "Technique",
-    "default_jobs",
-    "minimum_el_sizes",
-    "minimum_fw_blocks",
-    "run_simulation",
-]

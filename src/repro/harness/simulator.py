@@ -9,13 +9,11 @@ exposes crash-state capture for the recovery experiments.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.core.ephemeral import EphemeralLogManager
 from repro.core.firewall import FirewallLogManager
-from repro.core.hybrid import HybridLogManager
 from repro.core.placement import LifetimePlacementPolicy
-from repro.core.sharded import ShardedLogManager
 from repro.db.database import StableDatabase
 from repro.db.objects import ObjectVersion
 from repro.disk.block import BlockImage
@@ -25,11 +23,15 @@ from repro.harness.config import SimulationConfig, Technique
 from repro.harness.results import GenerationResult, SimulationResult
 from repro.metrics.series import PeriodicSampler
 from repro.obs import Observability
-from repro.obs.manifest import RunManifest
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRng
 from repro.workload.arrivals import PoissonArrivals
 from repro.workload.generator import WorkloadGenerator
+
+if TYPE_CHECKING:
+    from repro.core.hybrid import HybridLogManager
+    from repro.core.sharded import ShardedLogManager
+    from repro.obs.manifest import RunManifest
 
 
 class Simulation:
@@ -108,6 +110,8 @@ class Simulation:
         )
         if config.shards > 1:
             # config.__post_init__ restricts shards > 1 to el/fw.
+            from repro.core.sharded import ShardedLogManager
+
             return ShardedLogManager(
                 self.sim,
                 self.database,
@@ -132,6 +136,8 @@ class Simulation:
         if config.technique is Technique.HYBRID:
             # config.__post_init__ rejects hybrid + an enabled fault plan;
             # the hybrid manager has no self-healing hooks.
+            from repro.core.hybrid import HybridLogManager
+
             return HybridLogManager(
                 self.sim,
                 self.database,

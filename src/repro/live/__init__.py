@@ -17,26 +17,3 @@ delay or an ``os.pwrite``.  This package supplies the real implementations:
 
 The log managers themselves run byte-for-byte unmodified.
 """
-
-from repro.live.clock import RealTimeScheduler
-from repro.live.loadgen import LoadGenerator, LoadReport, run_load
-from repro.live.server import LiveServer, build_live_manager
-from repro.live.storage import (
-    FileBackedDatabase,
-    FileBackedDrive,
-    LiveLogStorage,
-    read_log_directory,
-)
-
-__all__ = [
-    "RealTimeScheduler",
-    "FileBackedDrive",
-    "FileBackedDatabase",
-    "LiveLogStorage",
-    "read_log_directory",
-    "LiveServer",
-    "build_live_manager",
-    "LoadGenerator",
-    "LoadReport",
-    "run_load",
-]

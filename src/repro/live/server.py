@@ -35,13 +35,11 @@ from typing import Dict, Optional, Set
 from repro.constants import BLOCK_PAYLOAD_BYTES
 from repro.core.ephemeral import EphemeralLogManager
 from repro.core.firewall import FirewallLogManager
-from repro.core.sharded import ShardedLogManager
 from repro.errors import ConfigurationError, ReproError
 from repro.live import protocol
 from repro.live.clock import RealTimeScheduler
 from repro.live.storage import FileBackedDatabase, LiveLogStorage
 from repro.metrics.hist import LatencyHistogram
-from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 
 #: Default object-space size for live servers: large enough that the paper's
@@ -79,6 +77,8 @@ def build_live_manager(
         metrics=metrics,
     )
     if shards > 1:
+        from repro.core.sharded import ShardedLogManager
+
         return ShardedLogManager(
             scheduler,
             database,
@@ -282,6 +282,8 @@ class LiveServer:
         )
 
     def _write_manifest(self) -> None:
+        from repro.obs.manifest import RunManifest
+
         manifest = RunManifest(
             label=f"live-serve-{self.technique}",
             seed=0,

@@ -1,14 +1,1 @@
 """Measurement utilities: time-series sampling and report formatting."""
-
-from repro.metrics.series import PeriodicSampler, TimeSeries
-from repro.metrics.report import format_table, format_series
-from repro.metrics.hist import LATENCY_BUCKETS, LatencyHistogram
-
-__all__ = [
-    "PeriodicSampler",
-    "TimeSeries",
-    "format_table",
-    "format_series",
-    "LatencyHistogram",
-    "LATENCY_BUCKETS",
-]

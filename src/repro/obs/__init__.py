@@ -13,31 +13,20 @@ paper speed:
 :class:`ObsConfig` is the frozen description the harness embeds in
 :class:`~repro.harness.config.SimulationConfig`; :class:`Observability`
 is the live bundle built from it and handed to the components.
+
+The ``events`` and ``manifest`` names load on first use (PEP 562): only a
+traced run needs the event pipeline, and only a run that writes a manifest
+needs ``manifest`` (which pulls in ``subprocess`` and ``platform``).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
-from repro.obs.events import (
-    EVENT_SCHEMA,
-    EventSink,
-    EventStream,
-    JsonlSink,
-    RingSink,
-    event_time_span,
-    read_jsonl,
-    register_event,
-    summarise_events,
-)
-from repro.obs.manifest import (
-    RunManifest,
-    default_manifest_path,
-    describe_code,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -48,31 +37,51 @@ from repro.obs.metrics import (
 )
 from repro.sim.trace import NULL_TRACE, TraceEvent, TraceLog
 
+if TYPE_CHECKING:
+    from repro.obs.events import JsonlSink
+    from repro.obs.manifest import RunManifest
+
+#: Public name -> the submodule that defines it, imported on first use.
+_LAZY = {
+    "EVENT_SCHEMA": "repro.obs.events",
+    "EventSink": "repro.obs.events",
+    "EventStream": "repro.obs.events",
+    "JsonlSink": "repro.obs.events",
+    "RingSink": "repro.obs.events",
+    "event_time_span": "repro.obs.events",
+    "read_jsonl": "repro.obs.events",
+    "register_event": "repro.obs.events",
+    "summarise_events": "repro.obs.events",
+    "RunManifest": "repro.obs.manifest",
+    "default_manifest_path": "repro.obs.manifest",
+    "describe_code": "repro.obs.manifest",
+}
+
 __all__ = [
-    "EVENT_SCHEMA",
     "Counter",
-    "EventSink",
-    "EventStream",
     "Gauge",
     "Histogram",
-    "JsonlSink",
     "MetricsRegistry",
     "NULL_METRICS",
     "NULL_TRACE",
     "ObsConfig",
     "Observability",
-    "RingSink",
-    "RunManifest",
     "Timer",
     "TraceEvent",
     "TraceLog",
-    "default_manifest_path",
-    "describe_code",
-    "event_time_span",
-    "read_jsonl",
-    "register_event",
-    "summarise_events",
+    *_LAZY,
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(module), name)
+
+
+def __dir__():
+    return sorted([*globals(), *_LAZY])
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,8 @@ class Observability:
         self.config = config or ObsConfig()
         self.jsonl_sink: Optional[JsonlSink] = None
         if self.config.trace_enabled:
+            from repro.obs.events import EventStream, JsonlSink
+
             sinks = []
             if self.config.jsonl_path is not None:
                 self.jsonl_sink = JsonlSink(self.config.jsonl_path)
@@ -140,7 +151,7 @@ class Observability:
 
     def close(self) -> None:
         """Flush and close any file-backed sinks (idempotent)."""
-        if isinstance(self.trace, EventStream):
+        if self.config.trace_enabled:
             self.trace.close()
 
     def trace_summary(self) -> Dict[str, Any]:
@@ -150,7 +161,7 @@ class Observability:
             "events_retained": len(self.trace),
             "events_dropped": getattr(self.trace, "dropped", 0),
         }
-        if isinstance(self.trace, EventStream):
+        if self.config.trace_enabled:
             summary["unknown_events"] = self.trace.unknown_events
         if self.jsonl_sink is not None:
             summary["jsonl_path"] = str(self.jsonl_sink.path)
@@ -167,6 +178,8 @@ class Observability:
         wall_seconds: Optional[float] = None,
     ) -> RunManifest:
         """Assemble the run manifest from the final state of this bundle."""
+        from repro.obs.manifest import RunManifest, describe_code
+
         return RunManifest(
             label=label,
             seed=seed,

@@ -14,16 +14,3 @@ pass [Keen, CVA Memo #37].  This package implements
 * :class:`~repro.recovery.verify.RecoveryVerifier` — compares a recovered
   state against the workload's ground truth of acknowledged updates.
 """
-
-from repro.recovery.analyzer import LogScan
-from repro.recovery.single_pass import SinglePassRecovery
-from repro.recovery.two_pass import TwoPassRecovery
-from repro.recovery.verify import RecoveryVerifier, VerificationResult
-
-__all__ = [
-    "LogScan",
-    "SinglePassRecovery",
-    "TwoPassRecovery",
-    "RecoveryVerifier",
-    "VerificationResult",
-]

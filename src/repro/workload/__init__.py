@@ -8,27 +8,3 @@ record immediately, its data records at equally spaced intervals with the
 last ε before completion, and its COMMIT record at the end of its lifetime,
 then waits for the log manager's group-commit acknowledgement.
 """
-
-from repro.workload.arrivals import (
-    ArrivalProcess,
-    DeterministicArrivals,
-    PoissonArrivals,
-)
-from repro.workload.generator import WorkloadGenerator, WorkloadStats
-from repro.workload.oids import OidChooser
-from repro.workload.spec import TransactionType, WorkloadMix, paper_mix
-from repro.workload.transactions import TransactionRun, TxOutcome
-
-__all__ = [
-    "ArrivalProcess",
-    "DeterministicArrivals",
-    "PoissonArrivals",
-    "OidChooser",
-    "TransactionType",
-    "TransactionRun",
-    "TxOutcome",
-    "WorkloadGenerator",
-    "WorkloadMix",
-    "WorkloadStats",
-    "paper_mix",
-]

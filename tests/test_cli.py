@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -54,6 +56,31 @@ class TestParser:
     def test_chaos_accepts_shards(self):
         args = build_parser().parse_args(["chaos", "--shards", "2"])
         assert args.shards == 2
+
+    def test_technique_choices_match_enum(self):
+        from repro.harness.config import Technique
+
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        for command in ("run", "search", "trace", "recover", "chaos"):
+            technique = next(
+                action
+                for action in subparsers.choices[command]._actions
+                if action.dest == "technique"
+            )
+            assert set(technique.choices) == {t.value for t in Technique}, command
+
+    def test_jobs_default_resolved_from_env(self, monkeypatch):
+        from repro.cli import _jobs
+
+        args = build_parser().parse_args(["figure", "4"])
+        assert args.jobs is None
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        assert _jobs(args) == 3
+        assert _jobs(build_parser().parse_args(["figure", "4", "--jobs", "2"])) == 2
 
 
 class TestRunCommand:
