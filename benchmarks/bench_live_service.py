@@ -63,7 +63,7 @@ def _measure(tmp_path, technique: str) -> dict:
         return server, report
 
     server, report = asyncio.run(scenario())
-    pcts = report.commit_latency.percentiles()
+    pcts = report.commit_latency.snapshot()
     return {
         "technique": technique,
         "target_tps": TARGET_TPS,

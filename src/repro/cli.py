@@ -550,7 +550,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     report = asyncio.run(gen.run())
-    pcts = report.commit_latency.percentiles()
+    latency = report.commit_latency.snapshot()
 
     def fmt(value):
         return f"{value * 1000:.2f} ms" if value is not None else "n/a"
@@ -561,8 +561,8 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     print(f"rejected             : {report.rejected}")
     print(f"errors               : {report.errors} "
           f"({report.protocol_errors} protocol)")
-    print(f"commit latency       : p50 {fmt(pcts['p50'])}, "
-          f"p95 {fmt(pcts['p95'])}, p99 {fmt(pcts['p99'])}")
+    print(f"commit latency       : p50 {fmt(latency['p50'])}, "
+          f"p95 {fmt(latency['p95'])}, p99 {fmt(latency['p99'])}")
     if args.manifest:
         gen.write_manifest(args.manifest)
         print(f"manifest             : {args.manifest}")

@@ -42,12 +42,12 @@ from repro.disk.partition import RangePartitioner
 from repro.errors import ConfigurationError, LogFullError, SimulationError
 from repro.faults.injector import NULL_FAULTS
 from repro.faults.plan import DiskFault
+from repro.obs.events import NULL_TRACE, EventStream
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.records.base import LogRecord, next_lsn_factory
 from repro.records.data import DataLogRecord
 from repro.records.tx import AbortRecord, BeginRecord, CommitRecord
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACE, TraceLog
 
 
 class EphemeralLogManager(LogManager):
@@ -73,7 +73,7 @@ class EphemeralLogManager(LogManager):
         kill_policy: KillPolicy = KillPolicy.BLOCKING,
         placement: Optional[LifetimePlacementPolicy] = None,
         memory_model: Optional[MemoryModel] = None,
-        trace: TraceLog = NULL_TRACE,
+        trace: EventStream = NULL_TRACE,
         metrics: MetricsRegistry = NULL_METRICS,
         faults=NULL_FAULTS,
         lsn_factory: Optional[Callable[[], int]] = None,
@@ -104,9 +104,7 @@ class EphemeralLogManager(LogManager):
         self._m_kills = metrics.counter(f"{source}.kills")
         self._m_garbage = metrics.counter(f"{source}.garbage_discarded")
         self._m_gap_episodes = metrics.counter(f"{source}.gap_episodes")
-        self._m_gap_blocks = metrics.histogram(
-            f"{source}.gap_blocks_processed", buckets=(1, 2, 4, 8, 16, 32, 64, 128)
-        )
+        self._m_gap_blocks = metrics.histogram(f"{source}.gap_blocks_processed")
 
         # Shared across managers when several shards feed one logical log:
         # LSNs must stay globally unique or recovery's per-LSN dedup would

@@ -25,8 +25,8 @@ from repro.core.interface import UnflushedHeadPolicy
 from repro.core.killpolicy import KillPolicy
 from repro.core.memory import MemoryModel
 from repro.db.database import StableDatabase
+from repro.obs.events import NULL_TRACE, EventStream
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACE, TraceLog
 
 
 class FirewallLogManager(EphemeralLogManager):
@@ -45,7 +45,7 @@ class FirewallLogManager(EphemeralLogManager):
         flush_drives: int = 10,
         flush_write_seconds: float = 0.025,
         kill_policy: KillPolicy = KillPolicy.BLOCKING,
-        trace: TraceLog = NULL_TRACE,
+        trace: EventStream = NULL_TRACE,
         **kwargs,
     ):
         super().__init__(

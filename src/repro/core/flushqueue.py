@@ -25,16 +25,10 @@ from repro.disk.partition import RangePartitioner
 from repro.errors import SimulationError
 from repro.faults.injector import NULL_FAULTS
 from repro.faults.plan import DiskFault
+from repro.obs.events import NULL_TRACE, EventStream
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.records.data import DataLogRecord
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACE, TraceLog
-
-#: Oid-distance buckets for the flush-locality histogram (oid units).
-SEEK_DISTANCE_BUCKETS = (0, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000)
-
-#: Simulated-seconds buckets for submit-to-install settle latency.
-SETTLE_BUCKETS = (0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
 
 #: Fired after a flush write completes and the stable DB is updated.  The
 #: log manager uses it to garbage the record and clean the LOT/LTT.
@@ -105,7 +99,7 @@ class FlushScheduler:
         drive_count: int,
         write_seconds: float,
         on_flush_complete: FlushCompleteCallback,
-        trace: TraceLog = NULL_TRACE,
+        trace: EventStream = NULL_TRACE,
         metrics: MetricsRegistry = NULL_METRICS,
         faults=NULL_FAULTS,
     ):
@@ -126,12 +120,8 @@ class FlushScheduler:
         self._m_completed = metrics.counter("flush.completed")
         self._m_demand = metrics.counter("flush.demand")
         self._m_depth = metrics.gauge("flush.depth")
-        self._m_seek = metrics.histogram(
-            "flush.seek_distance", buckets=SEEK_DISTANCE_BUCKETS
-        )
-        self._m_settle = metrics.histogram(
-            "flush.settle_seconds", buckets=SETTLE_BUCKETS
-        )
+        self._m_seek = metrics.histogram("flush.seek_distance")
+        self._m_settle = metrics.histogram("flush.settle_seconds")
         # Submit time per queued oid, kept only while metrics are on: it
         # feeds the settle-latency histogram (submit -> installed).
         self._measure_settle = metrics.enabled

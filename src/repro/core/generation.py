@@ -36,13 +36,10 @@ from repro.disk.circular import CircularBlockArray
 from repro.errors import SimulationError
 from repro.faults.injector import NULL_FAULTS
 from repro.faults.plan import DiskFault, FaultKind
+from repro.obs.events import NULL_TRACE, EventStream
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.records.base import LogRecord
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACE, TraceLog
-
-#: Records-per-sealed-block buckets (the group-commit batch size).
-BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 #: Callback type fired when a block's disk write completes.
 BlockDurableCallback = Callable[["Generation", BlockImage], None]
@@ -69,7 +66,7 @@ class Generation:
         buffer_count: int,
         write_seconds: float,
         on_block_durable: BlockDurableCallback,
-        trace: TraceLog = NULL_TRACE,
+        trace: EventStream = NULL_TRACE,
         metrics: MetricsRegistry = NULL_METRICS,
         faults=NULL_FAULTS,
     ):
@@ -86,9 +83,7 @@ class Generation:
         self.trace = trace
         self._m_blocks_written = metrics.counter(f"log.gen{index}.blocks_written")
         self._m_bytes_written = metrics.counter(f"log.gen{index}.bytes_written")
-        self._m_batch_records = metrics.histogram(
-            "log.block_records", buckets=BATCH_SIZE_BUCKETS
-        )
+        self._m_batch_records = metrics.histogram("log.block_records")
         self._on_block_durable = on_block_durable
         #: Hook the log manager installs to protect pending migration
         #: buffers whose source slots are about to be overwritten.

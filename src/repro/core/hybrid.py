@@ -46,12 +46,12 @@ from repro.db.database import StableDatabase
 from repro.disk.block import BlockImage
 from repro.disk.partition import RangePartitioner
 from repro.errors import ConfigurationError, LogFullError, SimulationError
+from repro.obs.events import NULL_TRACE, EventStream
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.records.base import next_lsn_factory
 from repro.records.data import DataLogRecord
 from repro.records.tx import BeginRecord, CommitRecord
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACE, TraceLog
 
 
 class _HybridStatus(enum.Enum):
@@ -118,7 +118,7 @@ class HybridLogManager(LogManager):
         log_write_seconds: float = LOG_WRITE_SECONDS,
         kill_policy: KillPolicy = KillPolicy.BLOCKING,
         memory_model: Optional[MemoryModel] = None,
-        trace: TraceLog = NULL_TRACE,
+        trace: EventStream = NULL_TRACE,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
         sizes = list(queue_sizes)

@@ -54,11 +54,10 @@ from repro.disk.partition import RangePartitioner
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.injector import NULL_FAULTS, FaultInjector
 from repro.faults.plan import FaultPlan
-from repro.metrics.hist import LatencyHistogram
-from repro.obs.metrics import MetricsRegistry, NULL_METRICS
+from repro.obs.events import NULL_TRACE, EventStream
+from repro.obs.metrics import Histogram, MetricsRegistry, NULL_METRICS
 from repro.records.base import next_lsn_factory
 from repro.sim.engine import Simulator
-from repro.sim.trace import NULL_TRACE, TraceLog
 
 
 class _PrefixedRng:
@@ -104,11 +103,8 @@ class _PrefixedMetrics:
     def gauge(self, name: str):
         return self._base.gauge(self._prefix + name)
 
-    def histogram(self, name: str, *args, **kwargs):
-        return self._base.histogram(self._prefix + name, *args, **kwargs)
-
-    def timer(self, name: str, *args, **kwargs):
-        return self._base.timer(self._prefix + name, *args, **kwargs)
+    def histogram(self, name: str):
+        return self._base.histogram(self._prefix + name)
 
 
 class _ShardTrace:
@@ -121,7 +117,7 @@ class _ShardTrace:
 
     __slots__ = ("_base", "_shard")
 
-    def __init__(self, base: TraceLog, shard: int):
+    def __init__(self, base: EventStream, shard: int):
         self._base = base
         self._shard = shard
 
@@ -288,7 +284,7 @@ class ShardedLogManager(LogManager):
         placement_boundaries: Optional[Sequence[float]] = None,
         fault_plan: Optional[FaultPlan] = None,
         rng=None,
-        trace: TraceLog = NULL_TRACE,
+        trace: EventStream = NULL_TRACE,
         metrics: MetricsRegistry = NULL_METRICS,
     ):
         if shard_count < 1:
@@ -600,27 +596,23 @@ class ShardedLogManager(LogManager):
                         f"LTT entry there"
                     )
 
-    def merged_metric_histogram(self, suffix: str) -> Optional[LatencyHistogram]:
+    def merged_metric_histogram(self, suffix: str) -> Optional[Histogram]:
         """The cross-shard distribution of a per-shard histogram metric.
 
         Per-shard metrics are registered under ``s{i}.<suffix>`` (see
-        :class:`_PrefixedMetrics`); this folds the N per-shard histograms
-        into one mergeable distribution, so sharded runs report e.g. a
-        single flush-settle latency histogram whose percentiles reflect
-        every shard's flushes.  ``None`` when metrics are disabled or no
-        shard has registered the metric.
+        :class:`_PrefixedMetrics`); this merges the N per-shard histograms,
+        so sharded runs report e.g. a single flush-settle latency histogram
+        whose percentiles reflect every shard's flushes.  ``None`` when
+        metrics are disabled or no shard has registered the metric.
         """
-        if not self.metrics.enabled:
-            return None
-        snapshots = self.metrics.snapshot()
-        parts = []
-        for index in range(self.shard_count):
-            data = snapshots.get(f"s{index}.{suffix}")
-            if data is not None and data.get("type") == "histogram":
-                parts.append(LatencyHistogram.from_snapshot(data))
+        parts = [
+            hist
+            for hist in (self.metrics.get(f"s{i}.{suffix}") for i in range(self.shard_count))
+            if isinstance(hist, Histogram)
+        ]
         if not parts:
             return None
-        return LatencyHistogram.merged(parts)
+        return Histogram.merged(parts)
 
     def counters_snapshot(self) -> Dict[str, object]:
         """Aggregate counters plus the per-shard breakdown (for manifests)."""

@@ -5,8 +5,3 @@ necessarily incorporate the most recent changes to the database, but the log
 contains sufficient information to restore it to the most recent consistent
 state if a crash were to occur."
 """
-
-from repro.db.database import StableDatabase
-from repro.db.objects import ObjectVersion
-
-__all__ = ["StableDatabase", "ObjectVersion"]

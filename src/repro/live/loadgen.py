@@ -25,8 +25,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.live import protocol
-from repro.metrics.hist import LatencyHistogram
 from repro.obs.manifest import RunManifest
+from repro.obs.metrics import Histogram
 from repro.workload.generator import AckedUpdate
 from repro.workload.oids import OidChooser
 from repro.workload.spec import SkewSpec
@@ -44,7 +44,9 @@ class LoadReport:
     errors: int = 0
     protocol_errors: int = 0
     updates_acked: int = 0
-    commit_latency: LatencyHistogram = field(default_factory=LatencyHistogram)
+    commit_latency: Histogram = field(
+        default_factory=lambda: Histogram("loadgen.commit_latency")
+    )
     acked_updates: List[AckedUpdate] = field(default_factory=list)
 
     @property

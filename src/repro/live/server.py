@@ -39,8 +39,7 @@ from repro.errors import ConfigurationError, ReproError
 from repro.live import protocol
 from repro.live.clock import RealTimeScheduler
 from repro.live.storage import FileBackedDatabase, LiveLogStorage
-from repro.metrics.hist import LatencyHistogram
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 #: Default object-space size for live servers: large enough that the paper's
 #: exclusivity constraint never binds, small enough that the sparse database
@@ -183,7 +182,7 @@ class LiveServer:
         self.rejections = 0
         self.protocol_errors = 0
         self.internal_errors = 0
-        self.commit_latency = LatencyHistogram()
+        self.commit_latency = Histogram("server.commit_latency")
 
     # ------------------------------------------------------------------
     # Lifecycle

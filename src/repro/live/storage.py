@@ -43,7 +43,7 @@ from repro.db.database import StableDatabase
 from repro.db.objects import ObjectVersion
 from repro.disk.block import BlockAddress, BlockImage
 from repro.errors import ConfigurationError, RecordIntegrityError
-from repro.metrics.hist import LatencyHistogram
+from repro.obs.metrics import Histogram
 from repro.records.encoding import RecordCodec
 
 # ----------------------------------------------------------------------
@@ -229,7 +229,7 @@ class FileBackedDrive:
         self.blocks_written = 0
         self.bytes_written = 0
         self.fsyncs = 0
-        self.write_latency = LatencyHistogram()
+        self.write_latency = Histogram("log.write_latency")
 
     def write_block(self, image: BlockImage, on_durable: Callable[[], None]) -> None:
         """Persist a sealed block image; fire ``on_durable`` once on disk."""
@@ -338,9 +338,9 @@ class LiveLogStorage:
     def writes_pending(self) -> int:
         return sum(drive.writes_pending for drive in self.drives)
 
-    def write_latency(self) -> LatencyHistogram:
+    def write_latency(self) -> Histogram:
         """Merged write-latency distribution across all drives."""
-        return LatencyHistogram.merged(d.write_latency for d in self.drives)
+        return Histogram.merged(d.write_latency for d in self.drives)
 
     def counters(self) -> Dict[str, int]:
         return {

@@ -16,6 +16,11 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _stat(value) -> str:
+    """A histogram statistic: four significant digits, so milliseconds show."""
+    return "-" if value is None else f"{value:.4g}"
+
+
 def format_table(headers: Sequence[str], rows: Iterable[Sequence]) -> str:
     """Render an aligned ASCII table with a header rule."""
     str_rows = [[_cell(v) for v in row] for row in rows]
@@ -65,7 +70,8 @@ def format_metrics(snapshot: Mapping[str, dict], title: str = "Metrics") -> str:
     """Render a :meth:`MetricsRegistry.snapshot` as an aligned table.
 
     Counters show their value; gauges value and peak; histograms count,
-    mean and max — enough to eyeball a run without opening the manifest.
+    mean, p50, p99 and max — enough to eyeball a run without opening the
+    manifest.
     """
     rows = []
     for name in sorted(snapshot):
@@ -76,9 +82,8 @@ def format_metrics(snapshot: Mapping[str, dict], title: str = "Metrics") -> str:
         elif kind == "gauge":
             rows.append((name, kind, data["value"], f"peak={_cell(data['peak'])}"))
         elif kind == "histogram":
-            detail = (
-                f"mean={_cell(data['mean'])} "
-                f"max={_cell(data['max']) if data['max'] is not None else '-'}"
+            detail = " ".join(
+                f"{stat}={_stat(data.get(stat))}" for stat in ("mean", "p50", "p99", "max")
             )
             rows.append((name, kind, data["count"], detail))
         else:

@@ -3,10 +3,10 @@
 Three cooperating pieces, all disabled by default so the hot paths stay at
 paper speed:
 
-* :mod:`repro.obs.metrics` — named counters/gauges/histograms plus a
-  :class:`~repro.obs.metrics.Timer` keyed to simulated time;
-* :mod:`repro.obs.events` — the schema'd trace stream with pluggable
-  sinks (in-memory ring, JSONL file);
+* :mod:`repro.obs.metrics` — named counters, gauges and log-bucketed
+  histograms that merge and report percentiles;
+* :mod:`repro.obs.events` — the schema'd event stream (in-memory ring,
+  optional JSONL export);
 * :mod:`repro.obs.manifest` — per-run JSON manifests capturing config,
   seed, code state, wall time and the final metric snapshot.
 
@@ -14,9 +14,8 @@ paper speed:
 :class:`~repro.harness.config.SimulationConfig`; :class:`Observability`
 is the live bundle built from it and handed to the components.
 
-The ``events`` and ``manifest`` names load on first use (PEP 562): only a
-traced run needs the event pipeline, and only a run that writes a manifest
-needs ``manifest`` (which pulls in ``subprocess`` and ``platform``).
+The ``manifest`` names load on first use (PEP 562): only a run that
+writes a manifest needs it (it pulls in ``subprocess`` and ``platform``).
 """
 
 from __future__ import annotations
@@ -27,31 +26,30 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
+from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     NULL_METRICS,
-    Timer,
 )
-from repro.sim.trace import NULL_TRACE, TraceEvent, TraceLog
+from repro.obs.events import (
+    EVENT_SCHEMA,
+    NULL_TRACE,
+    EventStream,
+    TraceEvent,
+    event_time_span,
+    read_jsonl,
+    register_event,
+    summarise_events,
+)
 
 if TYPE_CHECKING:
-    from repro.obs.events import JsonlSink
     from repro.obs.manifest import RunManifest
 
 #: Public name -> the submodule that defines it, imported on first use.
 _LAZY = {
-    "EVENT_SCHEMA": "repro.obs.events",
-    "EventSink": "repro.obs.events",
-    "EventStream": "repro.obs.events",
-    "JsonlSink": "repro.obs.events",
-    "RingSink": "repro.obs.events",
-    "event_time_span": "repro.obs.events",
-    "read_jsonl": "repro.obs.events",
-    "register_event": "repro.obs.events",
-    "summarise_events": "repro.obs.events",
     "RunManifest": "repro.obs.manifest",
     "default_manifest_path": "repro.obs.manifest",
     "describe_code": "repro.obs.manifest",
@@ -59,6 +57,8 @@ _LAZY = {
 
 __all__ = [
     "Counter",
+    "EVENT_SCHEMA",
+    "EventStream",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
@@ -66,9 +66,11 @@ __all__ = [
     "NULL_TRACE",
     "ObsConfig",
     "Observability",
-    "Timer",
     "TraceEvent",
-    "TraceLog",
+    "event_time_span",
+    "read_jsonl",
+    "register_event",
+    "summarise_events",
     *_LAZY,
 ]
 
@@ -102,6 +104,12 @@ class ObsConfig:
     manifest_path: Optional[str] = None
     strict_schema: bool = False
 
+    def __post_init__(self) -> None:
+        if self.trace_capacity is not None and self.trace_capacity < 1:
+            raise ConfigurationError(
+                f"trace_capacity must be >= 1 (or None), got {self.trace_capacity}"
+            )
+
     @property
     def trace_enabled(self) -> bool:
         return self.trace or self.jsonl_path is not None
@@ -130,27 +138,20 @@ class Observability:
 
     def __init__(self, config: Optional[ObsConfig] = None):
         self.config = config or ObsConfig()
-        self.jsonl_sink: Optional[JsonlSink] = None
-        if self.config.trace_enabled:
-            from repro.obs.events import EventStream, JsonlSink
-
-            sinks = []
-            if self.config.jsonl_path is not None:
-                self.jsonl_sink = JsonlSink(self.config.jsonl_path)
-                sinks.append(self.jsonl_sink)
-            self.trace: TraceLog = EventStream(
-                enabled=True,
+        self.trace = (
+            EventStream(
                 capacity=self.config.trace_capacity,
-                sinks=sinks,
                 strict=self.config.strict_schema,
+                jsonl_path=self.config.jsonl_path,
             )
-        else:
-            self.trace = NULL_TRACE
+            if self.config.trace_enabled
+            else NULL_TRACE
+        )
         self.metrics = MetricsRegistry(enabled=True) if self.config.metrics else NULL_METRICS
         self._started_wall = time.perf_counter()
 
     def close(self) -> None:
-        """Flush and close any file-backed sinks (idempotent)."""
+        """Close the JSONL export, if any (idempotent)."""
         if self.config.trace_enabled:
             self.trace.close()
 
@@ -159,13 +160,13 @@ class Observability:
         summary: Dict[str, Any] = {
             "enabled": self.trace.enabled,
             "events_retained": len(self.trace),
-            "events_dropped": getattr(self.trace, "dropped", 0),
+            "events_dropped": self.trace.dropped,
         }
         if self.config.trace_enabled:
             summary["unknown_events"] = self.trace.unknown_events
-        if self.jsonl_sink is not None:
-            summary["jsonl_path"] = str(self.jsonl_sink.path)
-            summary["jsonl_events_written"] = self.jsonl_sink.events_written
+        if self.trace.jsonl_path is not None:
+            summary["jsonl_path"] = str(self.trace.jsonl_path)
+            summary["jsonl_events_written"] = self.trace.events_written
         return summary
 
     def build_manifest(

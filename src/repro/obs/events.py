@@ -1,20 +1,13 @@
-"""The structured event pipeline: a schema'd trace stream with sinks.
+"""The event stream: every traced occurrence of a run, schema-checked.
 
-:class:`EventStream` upgrades :class:`~repro.sim.trace.TraceLog` — same
-``emit(time, source, kind, detail)`` call components already make, same
-near-zero cost when disabled — with
-
-* a **schema registry** of known ``source``/``kind`` pairs (see
-  :data:`EVENT_SCHEMA`), so traces are diffable between runs: a strict
-  stream rejects unregistered events instead of silently inventing new
-  namespaces;
-* **pluggable sinks**: every emitted event is also offered to each sink.
-  :class:`RingSink` keeps the latest N events in memory;
-  :class:`JsonlSink` appends one JSON object per line to a file, the
-  interchange format ``repro report`` re-parses.
-
-The in-memory keep-latest ring of the base class is retained, so an
-``EventStream`` is a drop-in ``TraceLog`` everywhere one is accepted.
+Components call ``trace.emit(time, source, kind, detail)``; a disabled
+stream (:data:`NULL_TRACE`, the default everywhere) returns at once, so
+paper-scale runs pay one flag check per emit site.  An enabled
+:class:`EventStream` keeps a keep-latest ring of :class:`TraceEvent`
+tuples, checks each ``source``/``kind`` pair against the schema registry
+(:data:`EVENT_SCHEMA`) so traces stay diffable between runs, and can also
+write every event to a JSON Lines file, the format ``repro report``
+re-parses.
 """
 
 from __future__ import annotations
@@ -23,10 +16,56 @@ import json
 from collections import Counter as TallyCounter
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Deque,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError
-from repro.sim.trace import TraceEvent, TraceLog
+
+
+class TraceEvent(NamedTuple):
+    """One traced occurrence.
+
+    Attributes:
+        time: simulated time the event occurred at.
+        source: short component name (``"el"``, ``"flush"``, ``"gen0"``...).
+        kind: event kind (``"forward"``, ``"kill"``, ``"block_write"``...).
+        detail: free-form payload, usually a dict of identifiers.
+    """
+
+    time: float
+    source: str
+    kind: str
+    detail: Any
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable form (the JSONL line schema)."""
+        return {
+            "time": self.time,
+            "source": self.source,
+            "kind": self.kind,
+            "detail": self.detail,
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "TraceEvent":
+        return cls(
+            float(data["time"]),
+            str(data["source"]),
+            str(data["kind"]),
+            data.get("detail"),
+        )
+
 
 #: Known event namespaces: source -> set of kinds.  Components register
 #: their vocabulary here so ``repro report`` can flag schema drift and
@@ -89,98 +128,40 @@ def is_known_event(source: str, kind: str) -> bool:
     return kinds is not None and kind in kinds
 
 
-class EventSink:
-    """Interface for trace-event consumers attached to an :class:`EventStream`."""
+class EventStream:
+    """An in-memory event ring with a schema check and optional JSONL export.
 
-    def accept(self, event: TraceEvent) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any resources; accepting after close is an error."""
-
-
-class RingSink(EventSink):
-    """Keeps the latest ``capacity`` events in memory."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigurationError(f"ring sink needs capacity >= 1, got {capacity}")
-        self.capacity = capacity
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def accept(self, event: TraceEvent) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
-
-    def events(self) -> List[TraceEvent]:
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<RingSink {len(self._events)}/{self.capacity} dropped={self.dropped}>"
-
-
-class JsonlSink(EventSink):
-    """Appends events to ``path`` as JSON Lines (one event per line).
-
-    The file is opened lazily on the first event and is flushed/closed by
-    :meth:`close`; a sink that never saw an event never creates the file.
+    ``capacity`` bounds the ring (``None`` keeps everything); at capacity
+    the oldest event is evicted and :attr:`dropped` counts it.  With
+    ``jsonl_path`` every event is also appended to that file as one JSON
+    object per line; the file is opened on the first event, so a stream
+    that never saw one never creates it, and :meth:`close` closes it.
     """
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self._handle = None
-        self.events_written = 0
-        self.closed = False
-
-    def accept(self, event: TraceEvent) -> None:
-        if self.closed:
-            raise ConfigurationError(f"jsonl sink {self.path} is closed")
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "w", encoding="utf-8")
-        json.dump(event.to_dict(), self._handle, separators=(",", ":"))
-        self._handle.write("\n")
-        self.events_written += 1
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-        self.closed = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<JsonlSink {self.path} written={self.events_written}>"
-
-
-class EventStream(TraceLog):
-    """A :class:`TraceLog` that validates against the schema and feeds sinks."""
 
     def __init__(
         self,
         enabled: bool = True,
         capacity: Optional[int] = None,
-        sinks: Sequence[EventSink] = (),
         strict: bool = False,
+        jsonl_path: Union[str, Path, None] = None,
     ):
-        super().__init__(enabled=enabled, capacity=capacity)
-        self.sinks: List[EventSink] = list(sinks)
+        if capacity is not None and capacity < 1:
+            raise ConfigurationError(f"event stream needs capacity >= 1, got {capacity}")
+        self.enabled = enabled
+        #: Maximum retained events, or ``None`` for unbounded.
+        self.capacity = capacity
+        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
+        self.dropped = 0
         self.strict = strict
-        #: (source, kind) pairs emitted that the schema does not know.
+        #: Events emitted whose (source, kind) pair the schema does not know.
         self.unknown_events = 0
-
-    def add_sink(self, sink: EventSink) -> EventSink:
-        self.sinks.append(sink)
-        return sink
+        self.jsonl_path = Path(jsonl_path) if jsonl_path is not None else None
+        self._handle = None
+        self.events_written = 0
+        self.closed = False
 
     def emit(self, time: float, source: str, kind: str, detail: Any = None) -> None:
+        """Record one event (no-op while :attr:`enabled` is false)."""
         if not self.enabled:
             return
         if not is_known_event(source, kind):
@@ -190,16 +171,57 @@ class EventStream(TraceLog):
                     f"repro.obs.events.EVENT_SCHEMA (register_event)"
                 )
             self.unknown_events += 1
-        super().emit(time, source, kind, detail)
-        if self.sinks:
-            event = self._events[-1]
-            for sink in self.sinks:
-                sink.accept(event)
+        event = TraceEvent(time, source, kind, detail)
+        events = self._events
+        if len(events) == self.capacity:
+            self.dropped += 1
+        events.append(event)
+        if self.jsonl_path is not None:
+            self._write(event)
+
+    def _write(self, event: TraceEvent) -> None:
+        if self.closed:
+            raise ConfigurationError(f"event stream export {self.jsonl_path} is closed")
+        if self._handle is None:
+            self.jsonl_path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self.jsonl_path, "w", encoding="utf-8")
+        json.dump(event.to_dict(), self._handle, separators=(",", ":"))
+        self._handle.write("\n")
+        self.events_written += 1
 
     def close(self) -> None:
-        """Close every attached sink (idempotent per sink contract)."""
-        for sink in self.sinks:
-            sink.close()
+        """Close the JSONL export, if any (idempotent)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+        self.closed = True
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return iter(self._events)
+
+    def select(self, source: Optional[str] = None, kind: Optional[str] = None) -> List[TraceEvent]:
+        """Events matching the given source and/or kind."""
+        return [
+            e
+            for e in self._events
+            if (source is None or e.source == source) and (kind is None or e.kind == kind)
+        ]
+
+    def clear(self) -> None:
+        """Drop all retained events (the ``enabled`` flag is unchanged)."""
+        self._events.clear()
+        self.dropped = 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = "on" if self.enabled else "off"
+        return f"<EventStream {state} events={len(self._events)} dropped={self.dropped}>"
+
+
+#: A shared disabled stream components can default to.
+NULL_TRACE = EventStream(enabled=False)
 
 
 # ----------------------------------------------------------------------

@@ -4,22 +4,25 @@ A :class:`MetricsRegistry` hands out metric objects by name.  Components
 fetch their metrics once at construction time and update them on the hot
 path; when the registry is disabled it hands out shared no-op singletons,
 so a disabled run pays one dynamic dispatch per update site and allocates
-nothing.  All times are *simulated* seconds — :class:`Timer` takes the
-clock as a callable (usually ``lambda: sim.now``) so instrumentation never
-couples to the wall clock.
+nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
-#: Default histogram bucket upper bounds — generic log-spaced edges that
-#: suit both latencies (seconds) and small cardinalities (records, blocks).
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0,
-)
+#: Histogram buckets per doubling of the value: each bucket is
+#: ``2**(1/16) - 1`` (about 4.4 %) wide, at any scale.
+BUCKETS_PER_DOUBLING = 16
+
+#: Bucket key shared by every value <= 0 (sorts before all others).
+ZERO_BUCKET = -math.inf
+
+_log2 = math.log2
+_floor = math.floor
 
 
 class Counter:
@@ -64,25 +67,20 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed-bucket histogram with count/total/min/max summary stats.
+    """Log-bucketed histogram with summary stats, merging and percentiles.
 
-    ``buckets`` are inclusive upper bounds; observations above the last
-    bound land in an implicit overflow bucket.
+    Every histogram shares one bucket geometry (see
+    :data:`BUCKETS_PER_DOUBLING`), so any two merge and none needs its
+    edges configured.  Counts live in a sparse dict keyed by bucket index:
+    bucket ``k`` holds ``[2**(k/16), 2**((k+1)/16))`` and values <= 0
+    share the :data:`ZERO_BUCKET`.
     """
 
-    __slots__ = ("name", "buckets", "bucket_counts", "count", "total", "min", "max")
+    __slots__ = ("name", "counts", "count", "total", "min", "max")
 
-    def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS):
-        bounds = tuple(buckets)
-        if not bounds:
-            raise ConfigurationError(f"histogram {name!r} needs at least one bucket")
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ConfigurationError(
-                f"histogram {name!r} buckets must be strictly increasing: {bounds}"
-            )
+    def __init__(self, name: str):
         self.name = name
-        self.buckets = bounds
-        self.bucket_counts: List[int] = [0] * (len(bounds) + 1)
+        self.counts: Dict[float, int] = {}
         self.count = 0
         self.total = 0.0
         self.min: Optional[float] = None
@@ -95,17 +93,66 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.bucket_counts[index] += 1
-                return
-        self.bucket_counts[-1] += 1
+        key = _floor(_log2(value) * BUCKETS_PER_DOUBLING) if value > 0 else ZERO_BUCKET
+        counts = self.counts
+        counts[key] = counts.get(key, 0) + 1
+
+    def merge(self, other: "Histogram") -> "Histogram":
+        """Fold ``other`` into this histogram in place; returns ``self``."""
+        counts = self.counts
+        for key, n in other.counts.items():
+            counts[key] = counts.get(key, 0) + n
+        self.count += other.count
+        self.total += other.total
+        if other.min is not None and (self.min is None or other.min < self.min):
+            self.min = other.min
+        if other.max is not None and (self.max is None or other.max > self.max):
+            self.max = other.max
+        return self
+
+    @classmethod
+    def merged(cls, histograms: Iterable["Histogram"]) -> "Histogram":
+        """A fresh histogram holding every observation of ``histograms``."""
+        result = cls("merged")
+        for hist in histograms:
+            result.merge(hist)
+        return result
 
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
+    def percentile(self, q: float) -> Optional[float]:
+        """Estimate the ``q``-th percentile (``0 < q <= 100``).
+
+        Interpolates linearly inside the bucket holding the target rank and
+        clamps the result into the observed ``[min, max]``, so the estimate
+        is within one bucket width (about 4.4 %) of the raw sample's.
+        Returns ``None`` when empty.
+        """
+        if not 0.0 < q <= 100.0:
+            raise ConfigurationError(f"percentile must be in (0, 100], got {q}")
+        if self.count == 0:
+            return None
+        target = (q / 100.0) * self.count
+        cumulative = 0
+        for key in sorted(self.counts):
+            n = self.counts[key]
+            if cumulative + n >= target:
+                lo, hi = self._edges(key)
+                value = lo + (target - cumulative) / n * (hi - lo)
+                return min(max(value, self.min), self.max)
+            cumulative += n
+        return self.max  # pragma: no cover - only float rounding in target lands here
+
+    def _edges(self, key: float) -> Tuple[float, float]:
+        if key == ZERO_BUCKET:
+            return self.min, 0.0
+        return 2.0 ** (key / BUCKETS_PER_DOUBLING), 2.0 ** ((key + 1) / BUCKETS_PER_DOUBLING)
+
     def snapshot(self) -> dict:
+        """Summary stats, p50/p95/p99 and the non-empty buckets' upper edges."""
+        keys = sorted(self.counts)
         return {
             "type": "histogram",
             "count": self.count,
@@ -113,40 +160,15 @@ class Histogram:
             "mean": self.mean,
             "min": self.min,
             "max": self.max,
-            "buckets": list(self.buckets),
-            "bucket_counts": list(self.bucket_counts),
+            "p50": self.percentile(50),
+            "p95": self.percentile(95),
+            "p99": self.percentile(99),
+            "buckets": [self._edges(key)[1] for key in keys],
+            "bucket_counts": [self.counts[key] for key in keys],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Histogram {self.name} n={self.count} mean={self.mean:.4f}>"
-
-
-class Timer:
-    """Context manager observing elapsed *simulated* time into a histogram.
-
-    ::
-
-        timer = registry.timer("flush.settle_seconds", clock=lambda: sim.now)
-        with timer:
-            ...  # advance the simulation
-    """
-
-    __slots__ = ("histogram", "clock", "_started")
-
-    def __init__(self, histogram: Histogram, clock: Callable[[], float]):
-        self.histogram = histogram
-        self.clock = clock
-        self._started: Optional[float] = None
-
-    def __enter__(self) -> "Timer":
-        self._started = self.clock()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        started = self._started
-        self._started = None
-        if started is not None:
-            self.histogram.observe(self.clock() - started)
 
 
 class _NullCounter(Counter):
@@ -170,21 +192,10 @@ class _NullHistogram(Histogram):
         pass
 
 
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def __enter__(self) -> "Timer":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
 #: Shared no-op instances a disabled registry hands out.
 NULL_COUNTER = _NullCounter("null")
 NULL_GAUGE = _NullGauge("null")
 NULL_HISTOGRAM = _NullHistogram("null")
-NULL_TIMER = _NullTimer(NULL_HISTOGRAM, lambda: 0.0)
 
 
 class MetricsRegistry:
@@ -220,20 +231,12 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, lambda: Gauge(name), NULL_GAUGE, Gauge)
 
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._get(name, lambda: Histogram(name, buckets), NULL_HISTOGRAM, Histogram)
+    def histogram(self, name: str) -> Histogram:
+        return self._get(name, lambda: Histogram(name), NULL_HISTOGRAM, Histogram)
 
-    def timer(
-        self,
-        name: str,
-        clock: Callable[[], float],
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Timer:
-        if not self.enabled:
-            return NULL_TIMER
-        return Timer(self.histogram(name, buckets), clock)
+    def get(self, name: str) -> Optional[object]:
+        """The metric registered under ``name``, or ``None``."""
+        return self._metrics.get(name)
 
     def names(self) -> List[str]:
         return sorted(self._metrics)

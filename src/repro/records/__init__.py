@@ -7,20 +7,3 @@ the recovery manager can re-establish temporal order even after
 recirculation scrambles physical order, and carries a log sequence number
 (LSN) to break timestamp ties deterministically.
 """
-
-from repro.records.base import LogRecord, RecordKind, next_lsn_factory
-from repro.records.data import DataLogRecord
-from repro.records.tx import AbortRecord, BeginRecord, CommitRecord, TxLogRecord
-from repro.records.encoding import RecordCodec
-
-__all__ = [
-    "LogRecord",
-    "RecordKind",
-    "DataLogRecord",
-    "TxLogRecord",
-    "BeginRecord",
-    "CommitRecord",
-    "AbortRecord",
-    "RecordCodec",
-    "next_lsn_factory",
-]

@@ -2,15 +2,7 @@
 
 The paper's evaluation is driven by "an event-driven simulator ... written in
 C".  This package is the Python equivalent: a deterministic event scheduler
-(:class:`~repro.sim.engine.Simulator`), cancellable event handles
-(:class:`~repro.sim.events.EventHandle`), a seedable random-number facade
-(:class:`~repro.sim.rng.SimRng`) and an optional trace sink
-(:class:`~repro.sim.trace.TraceLog`).
+(:mod:`repro.sim.engine`), cancellable event handles (:mod:`repro.sim.events`)
+and a seedable random-number facade (:mod:`repro.sim.rng`).  Traced runs
+record into :class:`repro.obs.events.EventStream`.
 """
-
-from repro.sim.engine import Simulator
-from repro.sim.events import EventHandle
-from repro.sim.rng import SimRng
-from repro.sim.trace import TraceEvent, TraceLog
-
-__all__ = ["Simulator", "EventHandle", "SimRng", "TraceEvent", "TraceLog"]

@@ -19,9 +19,10 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.harness.config import SimulationConfig, Technique
 from repro.harness.simulator import Simulation, run_simulation
+from repro.obs import ObsConfig
+from repro.obs.events import EventStream
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Simulator
-from repro.sim.trace import TraceLog
 
 
 class ShardedHarness:
@@ -258,8 +259,26 @@ class TestAggregateViews:
         assert metrics.counter("s1.el.forwarded") is shard1._m_forwarded
         assert shard0._m_forwarded is not shard1._m_forwarded
 
+    def test_merged_settle_histogram_counts_every_shard(self):
+        config = SimulationConfig.ephemeral(
+            (18, 16), runtime=15.0, shards=2, obs=ObsConfig(metrics=True)
+        )
+        simulation = Simulation(config)
+        simulation.run()
+        registry = simulation.obs.metrics
+        per_shard = [registry.get(f"s{i}.flush.settle_seconds").count for i in range(2)]
+        assert all(per_shard)
+        merged = simulation.manager.merged_metric_histogram("flush.settle_seconds")
+        assert merged.count == sum(per_shard)
+        settle = simulation.manager.counters_snapshot()["flush"]["settle_seconds"]
+        assert settle["count"] == sum(per_shard)
+        assert settle["p50"] <= settle["p99"] <= settle["max"]
+
+    def test_merged_histogram_is_none_without_metrics(self, sharded):
+        assert sharded.manager.merged_metric_histogram("flush.settle_seconds") is None
+
     def test_trace_events_carry_the_shard_index(self):
-        trace = TraceLog(enabled=True)
+        trace = EventStream(enabled=True)
         harness = ShardedHarness(trace=trace)
         tid = harness.begin()
         harness.update(tid, oid=10)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.placement import LifetimePlacementPolicy
-from repro.sim.trace import TraceLog
+from repro.obs.events import EventStream
 
 from tests.conftest import ManualHarness
 
@@ -153,7 +153,7 @@ class TestPlacementRouting:
 
 class TestTracing:
     def test_kill_emits_trace_event(self):
-        trace = TraceLog()
+        trace = EventStream()
         harness = ManualHarness(
             generation_sizes=(4, 4), recirculation=False, trace=trace
         )

@@ -96,3 +96,18 @@ def test_version_matches_pyproject():
         project = text.split("[project]", 1)[1].split("\n[", 1)[0]
         version = re.search(r'^version\s*=\s*"([^"]+)"', project, re.M).group(1)
     assert repro.__version__ == version
+
+
+@pytest.mark.parametrize(
+    "package",
+    sorted(
+        path.parent.name
+        for path in (SRC / "repro").glob("*/__init__.py")
+        if path.parent.name not in ("obs", "faults")
+    ),
+)
+def test_subpackage_import_loads_none_of_its_modules(package):
+    # Only repro.obs and repro.faults keep package-level names; every
+    # other sub-package is a docstring, imported through its modules.
+    loaded = modules_loaded_by(f"import repro.{package}")
+    assert loaded_under(loaded, f"repro.{package}") == [f"repro.{package}"]

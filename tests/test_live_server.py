@@ -8,6 +8,7 @@ really did mean durable.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
@@ -146,6 +147,11 @@ class TestServerIntegration:
         assert report.protocol_errors == 0
         assert report.commit_latency.count == report.committed
         assert len(report.acked_updates) == report.updates_acked
+        counters = json.loads((tmp_path / "server-manifest.json").read_text())["counters"]
+        for name in ("server.commit_latency", "log.write_latency"):
+            hist = counters[name]
+            assert hist["count"] > 0, name
+            assert hist["p50"] <= hist["p95"] <= hist["p99"] <= hist["max"], name
 
     def test_unknown_and_stale_tids_get_error_status(self, tmp_path):
         async def scenario():

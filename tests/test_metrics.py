@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.metrics.report import format_series, format_table
+from repro.metrics.report import format_metrics, format_series, format_table
+from repro.obs.metrics import MetricsRegistry
 from repro.metrics.series import PeriodicSampler, TimeSeries
 from repro.sim.engine import Simulator
 
@@ -101,3 +102,17 @@ class TestFormatting:
     def test_format_table_empty_rows(self):
         text = format_table(["a"], [])
         assert "a" in text
+
+    def test_format_metrics_shows_histogram_percentiles(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("server.commit_latency")
+        for ms in range(1, 101):
+            hist.observe(ms / 1000.0)
+        registry.histogram("empty")
+        lines = format_metrics(registry.snapshot()).splitlines()
+        row = next(line for line in lines if "server.commit_latency" in line)
+        for stat in (50, 99):
+            assert f"p{stat}={hist.percentile(stat):.4g} " in row
+        assert row.endswith("max=0.1")
+        empty = next(line for line in lines if "empty" in line)
+        assert "p50=- p99=- max=-" in empty

@@ -1,181 +1,157 @@
-"""Tests for the mergeable latency histogram (repro.metrics.hist)."""
+"""Bucketing, percentile and merge behaviour of :class:`repro.obs.metrics.Histogram`."""
+
+import random
+import statistics
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.metrics.hist import LATENCY_BUCKETS, LatencyHistogram
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import BUCKETS_PER_DOUBLING, Histogram
+
+#: Relative width of one bucket: the percentile estimate's error bound.
+BUCKET_WIDTH = 2.0 ** (1.0 / BUCKETS_PER_DOUBLING) - 1.0
+
+
+def observed(values, name="h"):
+    hist = Histogram(name)
+    for value in values:
+        hist.observe(value)
+    return hist
+
+
+def raw_percentile(samples, q):
+    """The nearest-rank percentile of the raw samples."""
+    ordered = sorted(samples)
+    rank = max(1, -(-len(ordered) * q // 100))
+    return ordered[int(rank) - 1]
 
 
 class TestBucketEdges:
-    def test_bounds_are_inclusive_upper_bounds(self):
-        hist = LatencyHistogram((1.0, 2.0, 4.0))
-        hist.observe(1.0)  # exactly on the first bound -> first bucket
-        hist.observe(1.00001)  # just past -> second bucket
-        hist.observe(4.0)  # last bound -> third bucket
-        hist.observe(4.5)  # beyond -> overflow bucket
-        assert hist.counts == [1, 1, 1, 1]
-        assert hist.count == 4
-
-    def test_overflow_bucket_exists(self):
-        hist = LatencyHistogram((0.5,))
-        assert len(hist.counts) == 2
-        hist.observe(10.0)
-        assert hist.counts == [0, 1]
+    def test_bucket_edges_are_sixteen_per_doubling(self):
+        hist = observed([1.0, 1.04, 1.05, 2.0, 0.5])
+        # [1, 2**(1/16)) = [1, 1.0443) holds 1.0 and 1.04; 1.05 is in the
+        # next bucket; each power of two opens the first bucket of its doubling.
+        assert hist.counts == {0: 2, 1: 1, 16: 1, -16: 1}
 
     def test_min_max_total_tracking(self):
-        hist = LatencyHistogram((1.0, 2.0))
-        for v in (0.25, 1.75, 0.5):
-            hist.observe(v)
+        hist = observed([0.25, 1.75, 0.5])
         assert hist.min == 0.25
         assert hist.max == 1.75
         assert hist.total == pytest.approx(2.5)
         assert hist.mean == pytest.approx(2.5 / 3)
 
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ConfigurationError):
-            LatencyHistogram(())
-        with pytest.raises(ConfigurationError):
-            LatencyHistogram((1.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            LatencyHistogram((2.0, 1.0))
+    def test_extreme_values_get_their_own_buckets(self):
+        hist = observed([1e-9, 1e9, 0.0, -3.0])
+        assert len(hist.counts) == 3  # tiny, huge, and the shared zero bucket
+        assert hist.percentile(100) == pytest.approx(1e9)
+        # Values <= 0 share one bucket spanning [min, 0].
+        assert hist.percentile(25) == pytest.approx(-1.5)
+        assert hist.percentile(50) == 0.0
 
 
 class TestPercentiles:
     def test_empty_histogram_returns_none(self):
-        assert LatencyHistogram().percentile(50) is None
+        assert Histogram("h").percentile(50) is None
 
     def test_percentile_range_validated(self):
-        hist = LatencyHistogram()
+        hist = observed([1.0])
         with pytest.raises(ConfigurationError):
             hist.percentile(0)
         with pytest.raises(ConfigurationError):
             hist.percentile(101)
 
     def test_single_bucket_interpolation(self):
-        # 100 samples uniform in one bucket spanning [0, 1]: the estimator
-        # interpolates linearly, so p50 ~ 0.5 within the bucket.
-        hist = LatencyHistogram((1.0, 2.0))
-        for _ in range(100):
-            hist.observe(0.7)  # all land in bucket [0, 1]
-        # Interpolated midpoint of [0, 1] is 0.5, clamped up to min=0.7.
+        # Every sample in one bucket: the interpolated estimate is clamped
+        # into the observed [min, max], here a single point.
+        hist = observed([0.7] * 100)
         assert hist.percentile(50) == pytest.approx(0.7)
 
     def test_interpolation_across_buckets(self):
-        hist = LatencyHistogram((1.0, 2.0, 3.0))
-        for _ in range(50):
-            hist.observe(0.5)
-        for _ in range(50):
-            hist.observe(1.5)
-        # min=0.5, max=1.5. target rank for p75 = 75; first bucket holds 50,
-        # so rank 75 is 25/50 of the way through bucket (1.0, 2.0] -> 1.5,
-        # clamped to max 1.5.
-        assert hist.percentile(75) == pytest.approx(1.5)
-        # p25 -> rank 25 is halfway through bucket [0, 1.0] -> 0.5.
-        assert hist.percentile(25) == pytest.approx(0.5)
+        hist = observed([0.5] * 50 + [1.5] * 50)
+        # Rank 75 is halfway through the 1.5 bucket, clamped to max 1.5 at
+        # the top; rank 25 lands in the 0.5 bucket.
+        assert hist.percentile(75) == pytest.approx(1.5, rel=BUCKET_WIDTH)
+        assert hist.percentile(25) == pytest.approx(0.5, rel=BUCKET_WIDTH)
 
     def test_result_clamped_to_observed_range(self):
-        hist = LatencyHistogram((10.0,))
-        hist.observe(2.0)
-        hist.observe(3.0)
+        hist = observed([2.0, 3.0])
         p99 = hist.percentile(99)
         assert 2.0 <= p99 <= 3.0
 
-    def test_overflow_bucket_uses_observed_max(self):
-        hist = LatencyHistogram((1.0,))
-        hist.observe(5.0)
-        hist.observe(7.0)
+    def test_top_percentile_is_observed_max(self):
+        hist = observed([5.0, 7.0])
         assert hist.percentile(100) == pytest.approx(7.0)
 
     def test_percentiles_convenience_labels(self):
-        hist = LatencyHistogram()
-        hist.observe(0.01)
-        result = hist.percentiles((50, 95, 99))
-        assert set(result) == {"p50", "p95", "p99"}
+        snap = observed([0.01]).snapshot()
+        assert snap["p50"] == snap["p95"] == snap["p99"] == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("mix", ["lognormal", "bimodal"])
+    def test_within_one_bucket_of_the_raw_samples(self, mix):
+        rng = random.Random(20_000)
+        if mix == "lognormal":
+            # Median 7 ms, a long right tail.
+            samples = [rng.lognormvariate(-4.96, 0.4) for _ in range(20_000)]
+        else:
+            # A 5 ms group commit and a 15 ms disk write, jittered.
+            samples = [
+                rng.gauss(0.005 if rng.random() < 0.7 else 0.015, 0.0005)
+                for _ in range(20_000)
+            ]
+        hist = observed(samples)
+        for q in (50, 95, 99):
+            assert hist.percentile(q) == pytest.approx(
+                raw_percentile(samples, q), rel=BUCKET_WIDTH
+            ), q
+        assert hist.mean == pytest.approx(statistics.fmean(samples))
 
 
 class TestMerge:
     def test_merge_accumulates_counts_and_extremes(self):
-        a = LatencyHistogram((1.0, 2.0))
-        b = LatencyHistogram((1.0, 2.0))
-        a.observe(0.5)
-        b.observe(1.5)
-        b.observe(9.0)
+        a = observed([0.5])
+        b = observed([1.5, 9.0])
         a.merge(b)
         assert a.count == 3
-        assert a.counts == [1, 1, 1]
+        assert sum(a.counts.values()) == 3
         assert a.min == 0.5
         assert a.max == 9.0
         assert a.total == pytest.approx(11.0)
 
-    def test_merge_rejects_mismatched_bounds(self):
-        a = LatencyHistogram((1.0,))
-        b = LatencyHistogram((2.0,))
-        with pytest.raises(ConfigurationError):
-            a.merge(b)
-
     def test_merged_classmethod(self):
-        parts = []
-        for base in (0.1, 0.9, 1.9):
-            h = LatencyHistogram((1.0, 2.0))
-            h.observe(base)
-            parts.append(h)
-        merged = LatencyHistogram.merged(parts)
+        parts = [observed([base]) for base in (0.1, 0.9, 1.9)]
+        merged = Histogram.merged(parts)
         assert merged.count == 3
-        assert merged.counts == [2, 1, 0]
+        assert merged.counts == {**parts[0].counts, **parts[1].counts, **parts[2].counts}
         # Originals are untouched.
         assert parts[0].count == 1
 
     def test_merged_empty_iterable(self):
-        merged = LatencyHistogram.merged([])
+        merged = Histogram.merged([])
         assert merged.count == 0
-        assert merged.bounds == LATENCY_BUCKETS
+        assert merged.counts == {}
+        assert merged.percentile(50) is None
 
     def test_merge_is_equivalent_to_joint_observation(self):
-        joint = LatencyHistogram()
-        parts = [LatencyHistogram() for _ in range(3)]
-        samples = [0.001 * i for i in range(1, 200)]
-        for i, v in enumerate(samples):
-            joint.observe(v)
-            parts[i % 3].observe(v)
-        merged = LatencyHistogram.merged(parts)
+        rng = random.Random(7)
+        samples = [rng.expovariate(100.0) for _ in range(3_000)] + [0.0]
+        joint = observed(samples)
+        parts = [observed(samples[i::5]) for i in range(5)]
+        merged = Histogram.merged(parts)
         assert merged.counts == joint.counts
         assert merged.count == joint.count
+        assert (merged.min, merged.max) == (joint.min, joint.max)
         assert merged.total == pytest.approx(joint.total)
-        for q in (50, 90, 99):
+        for q in (50, 90, 99, 100):
             assert merged.percentile(q) == pytest.approx(joint.percentile(q))
 
 
 class TestObsInterop:
-    def test_from_snapshot_round_trip(self):
-        obs = Histogram("flush.settle_seconds", buckets=(0.01, 0.1, 1.0))
-        for v in (0.005, 0.05, 0.5, 5.0):
-            obs.observe(v)
-        hist = LatencyHistogram.from_snapshot(obs.snapshot())
-        assert hist.bounds == (0.01, 0.1, 1.0)
-        assert hist.counts == [1, 1, 1, 1]
-        assert hist.count == 4
-        assert hist.min == 0.005
-        assert hist.max == 5.0
-
-    def test_from_snapshot_validates_shape(self):
-        obs = Histogram("x", buckets=(0.01,))
-        snap = obs.snapshot()
-        snap["bucket_counts"] = [1]  # wrong length
-        with pytest.raises(ConfigurationError):
-            LatencyHistogram.from_snapshot(snap)
-
-    def test_from_snapshot_validates_count_sum(self):
-        obs = Histogram("x", buckets=(0.01,))
-        obs.observe(0.005)
-        snap = obs.snapshot()
-        snap["count"] = 7
-        with pytest.raises(ConfigurationError):
-            LatencyHistogram.from_snapshot(snap)
-
     def test_snapshot_includes_percentiles(self):
-        hist = LatencyHistogram()
-        hist.observe(0.01)
+        hist = observed([0.004, 0.001, 0.004])
         snap = hist.snapshot()
         assert snap["type"] == "histogram"
-        assert "p99" in snap and "p50" in snap
+        assert snap["p50"] <= snap["p95"] <= snap["p99"] <= snap["max"]
+        # Non-empty buckets only, ascending by upper edge.
+        assert snap["bucket_counts"] == [1, 2]
+        assert snap["buckets"] == sorted(snap["buckets"])
+        assert snap["buckets"][0] > 0.001

@@ -1,22 +1,21 @@
-"""Tests for the structured event pipeline: schema, sinks, JSONL export."""
+"""Tests for the event stream: schema, capacity, JSONL export."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.obs import ObsConfig, Observability
 from repro.obs.events import (
     EVENT_SCHEMA,
     EventStream,
-    JsonlSink,
-    RingSink,
+    TraceEvent,
     event_time_span,
     is_known_event,
     read_jsonl,
     register_event,
     summarise_events,
 )
-from repro.sim.trace import TraceEvent, TraceLog
 
 
 class TestSchema:
@@ -49,64 +48,63 @@ class TestSchema:
 
 class TestEventStream:
     def test_is_a_drop_in_trace_log(self):
+        # The managers' ``trace`` argument: emit, then filter what was kept.
         stream = EventStream()
-        assert isinstance(stream, TraceLog)
         stream.emit(1.0, "el", "forward", {"lsn": 1})
         assert len(stream.select(source="el", kind="forward")) == 1
 
-    def test_disabled_stream_feeds_no_sinks(self):
-        ring = RingSink(4)
-        stream = EventStream(enabled=False, sinks=[ring])
+    def test_disabled_stream_writes_no_jsonl(self, tmp_path):
+        path = tmp_path / "off.jsonl"
+        stream = EventStream(enabled=False, jsonl_path=path)
         stream.emit(0.0, "el", "kill")
+        stream.close()
         assert len(stream) == 0
-        assert len(ring) == 0
+        assert not path.exists()
 
-    def test_events_fan_out_to_all_sinks(self):
-        a, b = RingSink(4), RingSink(4)
-        stream = EventStream(sinks=[a])
-        stream.add_sink(b)
-        stream.emit(1.0, "el", "forward")
-        assert len(a) == 1 and len(b) == 1
-
-
-class TestRingSink:
-    def test_keeps_latest(self):
-        ring = RingSink(2)
-        for i in range(4):
-            ring.accept(TraceEvent(float(i), "s", "k", None))
-        assert [e.time for e in ring.events()] == [2.0, 3.0]
-        assert ring.dropped == 2
-
-    def test_rejects_silly_capacity(self):
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_rejects_silly_capacity(self, capacity):
         with pytest.raises(ConfigurationError):
-            RingSink(0)
+            EventStream(capacity=capacity)
+
+    @pytest.mark.parametrize("capacity", [0, -1])
+    def test_obs_config_rejects_silly_trace_capacity(self, capacity):
+        with pytest.raises(ConfigurationError):
+            ObsConfig(trace=True, trace_capacity=capacity)
+
+    def test_obs_config_capacity_bounds_the_stream(self):
+        obs = Observability(ObsConfig(trace=True, trace_capacity=1))
+        obs.trace.emit(0.0, "el", "kill")
+        obs.trace.emit(1.0, "el", "kill")
+        assert [e.time for e in obs.trace] == [1.0]
+        assert obs.trace_summary()["events_dropped"] == 1
 
 
 class TestJsonlSink:
     def test_round_trip_through_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        sink = JsonlSink(path)
+        stream = EventStream(capacity=1, jsonl_path=path)
         events = [
             TraceEvent(0.5, "el", "forward", {"lsn": 1, "from": 0}),
             TraceEvent(1.0, "el", "kill", {"tid": 7}),
         ]
         for event in events:
-            sink.accept(event)
-        sink.close()
-        assert sink.events_written == 2
+            stream.emit(*event)
+        stream.close()
+        # The file holds every event, not only the ones the ring kept.
+        assert stream.events_written == 2
         assert read_jsonl(path) == events
 
     def test_lazy_open_never_creates_empty_file(self, tmp_path):
         path = tmp_path / "never.jsonl"
-        JsonlSink(path).close()
+        EventStream(jsonl_path=path).close()
         assert not path.exists()
 
     def test_accept_after_close_raises(self, tmp_path):
-        sink = JsonlSink(tmp_path / "t.jsonl")
-        sink.accept(TraceEvent(0.0, "el", "kill", None))
-        sink.close()
+        stream = EventStream(jsonl_path=tmp_path / "t.jsonl")
+        stream.emit(0.0, "el", "kill")
+        stream.close()
         with pytest.raises(ConfigurationError):
-            sink.accept(TraceEvent(1.0, "el", "kill", None))
+            stream.emit(1.0, "el", "kill")
 
     def test_malformed_line_reports_location(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -66,7 +66,7 @@ class TestTraceExport:
     def test_export_is_complete(self, observed_run):
         simulation, _, jsonl_path, _ = observed_run
         events = read_jsonl(jsonl_path)
-        assert simulation.obs.jsonl_sink.events_written == len(events)
+        assert simulation.obs.trace.events_written == len(events)
         # The unbounded in-memory stream saw the same events.
         assert len(simulation.obs.trace) == len(events)
 

@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: counters, gauges, histograms, timers."""
+"""Tests for the metrics registry: counters, gauges and histograms."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ from repro.obs.metrics import (
     NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_METRICS,
-    NULL_TIMER,
     Counter,
     Gauge,
+    ZERO_BUCKET,
     Histogram,
     MetricsRegistry,
 )
@@ -46,14 +46,16 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_bucketing_inclusive_upper_bounds(self):
-        hist = Histogram("h", buckets=(1.0, 2.0))
-        for value in (0.5, 1.0, 1.5, 5.0):
+    def test_bucketing_sixteen_per_doubling(self):
+        hist = Histogram("h")
+        for value in (0.5, 1.0, 1.5, 5.0, 0.0):
             hist.observe(value)
-        assert hist.bucket_counts == [2, 1, 1]  # <=1, <=2, overflow
+        # floor(log2(v) * 16) for each positive v; zero gets its own bucket.
+        assert hist.counts == {-16: 1, 0: 1, 9: 1, 37: 1, ZERO_BUCKET: 1}
+        assert hist.snapshot()["bucket_counts"] == [1, 1, 1, 1, 1]
 
     def test_summary_stats(self):
-        hist = Histogram("h", buckets=(10.0,))
+        hist = Histogram("h")
         hist.observe(2.0)
         hist.observe(4.0)
         assert hist.count == 2
@@ -62,32 +64,7 @@ class TestHistogram:
         assert hist.max == 4.0
 
     def test_empty_mean_is_zero(self):
-        assert Histogram("h", buckets=(1.0,)).mean == 0.0
-
-    def test_rejects_empty_buckets(self):
-        with pytest.raises(ConfigurationError):
-            Histogram("h", buckets=())
-
-    def test_rejects_non_increasing_buckets(self):
-        with pytest.raises(ConfigurationError):
-            Histogram("h", buckets=(1.0, 1.0))
-
-
-class TestTimer:
-    def test_observes_simulated_elapsed_time(self):
-        clock = [10.0]
-        registry = MetricsRegistry()
-        timer = registry.timer("t.seconds", clock=lambda: clock[0])
-        with timer:
-            clock[0] = 12.5
-        hist = registry.histogram("t.seconds")
-        assert hist.count == 1
-        assert hist.total == pytest.approx(2.5)
-
-    def test_null_timer_is_a_context_manager(self):
-        with NULL_TIMER:
-            pass
-        assert NULL_HISTOGRAM.count == 0
+        assert Histogram("h").mean == 0.0
 
 
 class TestMetricsRegistry:
@@ -106,7 +83,6 @@ class TestMetricsRegistry:
         assert registry.counter("a") is NULL_COUNTER
         assert registry.gauge("b") is NULL_GAUGE
         assert registry.histogram("c") is NULL_HISTOGRAM
-        assert registry.timer("d", clock=lambda: 0.0) is NULL_TIMER
         assert len(registry) == 0
 
     def test_null_metrics_mutators_are_noops(self):
@@ -123,7 +99,13 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("b").inc()
         registry.gauge("a").set(1.0)
-        registry.histogram("c", buckets=(1.0,)).observe(0.5)
+        registry.histogram("c").observe(0.5)
         snapshot = registry.snapshot()
         assert list(snapshot) == ["a", "b", "c"]
         json.dumps(snapshot)  # must not raise
+
+    def test_get_returns_the_registered_metric(self):
+        registry = MetricsRegistry()
+        hist = registry.histogram("h")
+        assert registry.get("h") is hist
+        assert registry.get("missing") is None
