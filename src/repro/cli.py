@@ -4,7 +4,7 @@ Examples::
 
     repro run --technique el --sizes 18,16 --no-recirculation --runtime 120
     repro search --technique fw --mix 0.05 --runtime 120 --jobs 4
-    repro figure 4 --jobs 4   # also 5, 6, 7, scarce, headline
+    repro figure 4 --jobs 4   # also 5, 6, 7, scarce, headline, shards
     repro trace --runtime 60 --out results/
     repro report results/trace-el-seed0.jsonl
     repro recover --crash-at 40 --runtime 60
@@ -35,10 +35,6 @@ if TYPE_CHECKING:
 TECHNIQUES = ("el", "fw", "hybrid")
 
 
-def _parse_sizes(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part)
-
-
 def _positive_int(text: str) -> int:
     """argparse type for options that must be >= 1 (e.g. --jobs, --shards)."""
     try:
@@ -48,6 +44,14 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a value >= 1, got {value}")
     return value
+
+
+def _sizes(text: str) -> tuple[int, ...]:
+    """argparse type for --sizes: comma-separated block counts (e.g. 18,16)."""
+    sizes = tuple(_positive_int(part) for part in text.split(",") if part)
+    if not sizes:
+        raise argparse.ArgumentTypeError("expected at least one generation size")
+    return sizes
 
 
 def _skew_spec(text: str) -> SkewSpec:
@@ -97,7 +101,7 @@ def _base_config(args: argparse.Namespace) -> SimulationConfig:
     from repro.harness.config import SimulationConfig, Technique
 
     technique = Technique(args.technique)
-    sizes = _parse_sizes(args.sizes)
+    sizes = args.sizes
     if technique is Technique.FIREWALL:
         sizes = sizes[:1]
     return SimulationConfig(
@@ -121,6 +125,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--sizes",
+        type=_sizes,
         default="18,16",
         help="comma-separated generation sizes in blocks (FW uses the first)",
     )
@@ -131,7 +136,10 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--runtime", type=float, default=120.0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--flush-ms", type=float, default=25.0, help="flush transfer time (ms)"
+        "--flush-ms",
+        type=_positive_float,
+        default=25.0,
+        help="flush transfer time (ms)",
     )
     parser.add_argument(
         "--shards",
@@ -223,6 +231,9 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         run_figure_7,
         run_figures_4_5_6,
         run_scarce_flush,
+        run_shard_scaling,
+        shard_scaling_failures,
+        shard_scaling_text,
     )
     from repro.harness.scale import Scale
     from repro.harness.sweep import SweepCache
@@ -232,6 +243,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     manifest_dir = args.manifest_dir
     jobs = _jobs(args)
     which = args.which
+    failures: List[str] = []
     if which in ("4", "5", "6"):
         result = run_figures_4_5_6(
             scale, seed=args.seed, cache=cache, manifest_dir=manifest_dir, jobs=jobs
@@ -253,11 +265,19 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         text = headline_claims(
             scale, seed=args.seed, cache=cache, manifest_dir=manifest_dir, jobs=jobs
         ).text()
+    elif which == "shards":
+        runs = run_shard_scaling(
+            scale, seed=args.seed, cache=cache, manifest_dir=manifest_dir, jobs=jobs
+        )
+        text = shard_scaling_text(runs)
+        failures = shard_scaling_failures(runs)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(which)
     print(f"[scale: {scale.label}]")
     print(text)
-    return 0
+    for failure in failures:
+        print(f"GATE FAILED: {failure}")
+    return 1 if failures else 0
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -492,7 +512,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = LiveServer(
         args.log_dir,
         technique=args.technique,
-        generation_sizes=_parse_sizes(args.sizes),
+        generation_sizes=args.sizes,
         shards=args.shards,
         recirculation=not args.no_recirculation,
         host=args.host,
@@ -610,7 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     figure_parser = sub.add_parser("figure", help="reproduce a paper artifact")
     figure_parser.add_argument(
-        "which", choices=["4", "5", "6", "7", "scarce", "headline"]
+        "which", choices=["4", "5", "6", "7", "scarce", "headline", "shards"]
     )
     figure_parser.add_argument("--seed", type=int, default=0)
     figure_parser.add_argument("--no-cache", action="store_true")
@@ -646,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover_parser = sub.add_parser("recover", help="crash + recovery demo")
     _add_run_options(recover_parser)
-    recover_parser.add_argument("--crash-at", type=float, default=40.0)
+    recover_parser.add_argument("--crash-at", type=_positive_float, default=40.0)
     recover_parser.set_defaults(func=_cmd_recover)
 
     chaos_parser = sub.add_parser(
@@ -692,6 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--sizes",
+        type=_sizes,
         default="128,128",
         help="generation sizes in blocks (FW uses the first); live default "
         "128,128 = 1 MB of preallocated log per shard",

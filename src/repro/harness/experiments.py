@@ -10,9 +10,12 @@
   transfers: space, bandwidth, and the flush-locality shift.
 * :func:`headline_claims` — the abstract's space-ratio / bandwidth-increase
   claims, derived from the other results.
+* :func:`run_shard_scaling` — (ours) E-shard: aggregate log bandwidth of
+  the sharded log versus shard count under weak scaling, with the gates
+  :func:`shard_scaling_failures` checks.
 
-Each driver returns a result object that can render its figure as a text
-table and serialise to JSON for :class:`~repro.harness.sweep.SweepCache`.
+Each paper driver returns a result object that can render its figure as a
+text table and serialise to JSON for :class:`~repro.harness.sweep.SweepCache`.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
+from repro.constants import ARRIVAL_RATE_TPS
 from repro.harness.config import SimulationConfig
 from repro.harness.parallel import ParallelRunner
+from repro.harness.results import SimulationResult
 from repro.harness.scale import Scale
 from repro.harness.search import SpaceSearch
 from repro.harness.sweep import SweepCache
@@ -43,7 +48,7 @@ def _publish_manifest(
     name: str,
     scale: Scale,
     seed: int,
-    result,
+    document: dict,
     manifest_dir: ManifestDir,
     runner: Optional[ParallelRunner] = None,
 ) -> None:
@@ -58,9 +63,8 @@ def _publish_manifest(
     if manifest_dir is None:
         return
     label = f"{name}-{scale.label}"
-    counters = result.to_dict() if hasattr(result, "to_dict") else asdict(result)
+    counters = dict(document)
     if runner is not None:
-        counters = dict(counters)
         counters["parallel"] = {
             "jobs": runner.jobs,
             "runs_executed": runner.runs_executed,
@@ -251,7 +255,7 @@ def run_figures_4_5_6(
     cached = cache.get(key)
     if cached is not None:
         result = Figures456Result.from_dict(cached)
-        _publish_manifest("figures456", scale, seed, result, manifest_dir)
+        _publish_manifest("figures456", scale, seed, result.to_dict(), manifest_dir)
         return result
 
     result = Figures456Result(scale_label=scale.label, runtime=scale.runtime, seed=seed)
@@ -275,7 +279,9 @@ def run_figures_4_5_6(
             ]
     result.points.extend(points)
     cache.put(key, result.to_dict())
-    _publish_manifest("figures456", scale, seed, result, manifest_dir, runner=runner)
+    _publish_manifest(
+        "figures456", scale, seed, result.to_dict(), manifest_dir, runner=runner
+    )
     return result
 
 
@@ -378,7 +384,7 @@ def run_figure_7(
     cached = cache.get(key)
     if cached is not None:
         result = Figure7Result.from_dict(cached)
-        _publish_manifest("figure7", scale, seed, result, manifest_dir)
+        _publish_manifest("figure7", scale, seed, result.to_dict(), manifest_dir)
         return result
 
     fig456 = run_figures_4_5_6(scale, seed=seed, cache=cache, jobs=jobs)
@@ -431,7 +437,9 @@ def run_figure_7(
             if not run.no_kills:
                 break  # one infeasible point past the minimum, as in the paper
     cache.put(key, result.to_dict())
-    _publish_manifest("figure7", scale, seed, result, manifest_dir, runner=runner)
+    _publish_manifest(
+        "figure7", scale, seed, result.to_dict(), manifest_dir, runner=runner
+    )
     return result
 
 
@@ -500,7 +508,7 @@ def run_scarce_flush(
     cached = cache.get(key)
     if cached is not None:
         result = ScarceFlushResult.from_dict(cached)
-        _publish_manifest("scarce-flush", scale, seed, result, manifest_dir)
+        _publish_manifest("scarce-flush", scale, seed, result.to_dict(), manifest_dir)
         return result
 
     template = SimulationConfig.ephemeral(
@@ -564,7 +572,9 @@ def run_scarce_flush(
         mean_seek_distance_baseline=baseline.flush_mean_seek_distance,
     )
     cache.put(key, result.to_dict())
-    _publish_manifest("scarce-flush", scale, seed, result, manifest_dir, runner=runner)
+    _publish_manifest(
+        "scarce-flush", scale, seed, result.to_dict(), manifest_dir, runner=runner
+    )
     return result
 
 
@@ -625,5 +635,146 @@ def headline_claims(
             else 0.0
         ),
     )
-    _publish_manifest("headline", scale, seed, claims, manifest_dir)
+    _publish_manifest("headline", scale, seed, asdict(claims), manifest_dir)
     return claims
+
+
+# ======================================================================
+# E-shard (ours) — aggregate log bandwidth vs shard count
+# ======================================================================
+#: Shard counts swept; 1 is the single-disk paper baseline.
+SHARD_COUNTS: Tuple[int, ...] = (1, 2, 4)
+
+#: One (config, result) pair per technique and shard count.
+ShardRun = Tuple[SimulationConfig, SimulationResult]
+
+
+def shard_scaling_configs(scale: Scale, seed: int = 0) -> List[SimulationConfig]:
+    """EL (18, 16) and FW 34 at every shard count, under weak scaling.
+
+    The offered load grows with the shard count, so every shard runs at
+    the paper's 100 TPS operating point.  FW 34 is the same total budget
+    as EL; FW kills its long transactions at that size by design.
+    """
+    configs = []
+    for technique in ("el", "fw"):
+        for shards in SHARD_COUNTS:
+            common = dict(
+                runtime=scale.runtime,
+                seed=seed,
+                arrival_rate=ARRIVAL_RATE_TPS * shards,
+                shards=shards,
+            )
+            if technique == "fw":
+                configs.append(SimulationConfig.firewall(34, **common))
+            else:
+                configs.append(SimulationConfig.ephemeral((18, 16), **common))
+    return configs
+
+
+def run_shard_scaling(
+    scale: Optional[Scale] = None,
+    seed: int = 0,
+    cache: Optional[SweepCache] = None,
+    manifest_dir: ManifestDir = None,
+    jobs: int = 1,
+) -> List[ShardRun]:
+    """Run the E-shard sweep: one batch through the per-run cache."""
+    scale = scale or Scale.from_env()
+    cache = cache or SweepCache()
+    configs = shard_scaling_configs(scale, seed)
+    with ParallelRunner(jobs=jobs, cache=cache) as runner:
+        results = runner.run_many(configs)
+    _publish_manifest(
+        "shards",
+        scale,
+        seed,
+        {"runs": [result.to_dict() for result in results]},
+        manifest_dir,
+        runner=runner,
+    )
+    return list(zip(configs, results))
+
+
+def _bandwidth_by_shards(runs: List[ShardRun], technique: str) -> dict:
+    return {
+        config.shards: result.total_bandwidth_wps
+        for config, result in runs
+        if result.technique == technique
+    }
+
+
+def _ratio(wps: dict, shards_from: int, shards_to: int) -> float:
+    """Aggregate-bandwidth scaling factor between two shard counts."""
+    base = wps.get(shards_from)
+    return wps.get(shards_to, 0.0) / base if base else 0.0
+
+
+def shard_scaling_text(runs: List[ShardRun]) -> str:
+    """The E-shard table plus each technique's scaling ratios."""
+    rows = [
+        (
+            result.technique,
+            config.shards,
+            round(config.arrival_rate),
+            result.transactions_committed / result.runtime,
+            result.total_bandwidth_wps,
+            result.mean_commit_latency * 1000,
+            (result.sharding or {}).get("cross_shard_commits", "-"),
+            result.transactions_killed,
+        )
+        for config, result in runs
+    ]
+    lines = [
+        format_series(
+            "E-shard: weak-scaling aggregate log bandwidth vs shard count "
+            f"({ARRIVAL_RATE_TPS:g} TPS per shard)",
+            "technique",
+            ["shards", "rate", "tps", "w/s", "lat ms", "x-shard", "killed"],
+            rows,
+        )
+    ]
+    for technique in dict.fromkeys(result.technique for _, result in runs):
+        wps = _bandwidth_by_shards(runs, technique)
+        counts = sorted(wps)
+        ratios = ", ".join(
+            f"{a}->{b}: {_ratio(wps, a, b):.2f}x" for a, b in zip(counts, counts[1:])
+        )
+        lines.append(f"{technique} bandwidth scaling: {ratios}")
+    return "\n".join(lines)
+
+
+def shard_scaling_failures(runs: List[ShardRun]) -> List[str]:
+    """The E-shard gates that fail (empty when the sweep passes).
+
+    Aggregate bandwidth must scale >= 1.8x from 1 to 2 shards and grow
+    monotonically through 4, for both techniques; no run may fail, and
+    EL, at the paper's load per shard, may kill nothing.
+    """
+    failures = []
+    for config, result in runs:
+        if result.failed is not None:
+            failures.append(
+                f"{result.technique} at {config.shards} shards failed: "
+                f"{result.failed}"
+            )
+        if result.technique == "el" and result.transactions_killed:
+            failures.append(
+                f"el at {config.shards} shards killed "
+                f"{result.transactions_killed} transactions"
+            )
+    for technique in dict.fromkeys(result.technique for _, result in runs):
+        wps = _bandwidth_by_shards(runs, technique)
+        ratio = _ratio(wps, 1, 2)
+        if ratio < 1.8:
+            failures.append(
+                f"{technique} aggregate bandwidth scaled {ratio:.2f}x from 1 "
+                "to 2 shards (need >= 1.8x)"
+            )
+        series = [wps[n] for n in sorted(wps)]
+        if series != sorted(series):
+            failures.append(
+                f"{technique} aggregate bandwidth is not monotone over "
+                f"{sorted(wps)} shards: {[round(w, 2) for w in series]}"
+            )
+    return failures

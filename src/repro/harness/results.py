@@ -67,6 +67,9 @@ class SimulationResult:
     #: ``None`` for fault-free runs and then omitted from ``to_dict`` so
     #: their cached documents stay byte-identical to the pre-fault layer.
     faults: Optional[dict] = None
+    #: ``single_shard_commits``/``cross_shard_commits`` of a sharded run;
+    #: ``None`` (and omitted from ``to_dict``) when ``shards == 1``.
+    sharding: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Derived quantities
@@ -100,7 +103,8 @@ class SimulationResult:
         data = {
             key: value
             for key, value in self.__dict__.items()
-            if key != "generations" and not (key == "faults" and value is None)
+            if key != "generations"
+            and not (key in ("faults", "sharding") and value is None)
         }
         data["generations"] = [dict(g.__dict__) for g in self.generations]
         return data

@@ -9,7 +9,9 @@ is for tests.  ``Scale.from_env()`` honours:
 
 * ``REPRO_FULL=1``      → paper scale,
 * ``REPRO_SMOKE=1``     → smoke scale,
-* ``REPRO_RUNTIME=<s>`` → quick scale with a custom simulated span.
+* ``REPRO_RUNTIME=<s>`` → quick scale with a custom simulated span
+  (anything but a positive finite number raises
+  :class:`~repro.errors.ConfigurationError`).
 
 Setting both ``REPRO_FULL=1`` and ``REPRO_SMOKE=1`` is a contradiction and
 raises :class:`~repro.errors.ConfigurationError` — neither silently wins.
@@ -20,6 +22,7 @@ knob) and a ``UserWarning`` notes that the runtime was ignored.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -109,5 +112,14 @@ class Scale:
         if smoke:
             return cls.smoke()
         if runtime is not None:
-            return cls.quick(float(runtime))
+            try:
+                seconds = float(runtime)
+            except ValueError:
+                seconds = 0.0
+            if not 0.0 < seconds < math.inf:  # also rejects nan
+                raise ConfigurationError(
+                    f"REPRO_RUNTIME must be a positive number of simulated "
+                    f"seconds, got {runtime!r}"
+                )
+            return cls.quick(seconds)
         return cls.quick()

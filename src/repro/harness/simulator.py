@@ -302,6 +302,11 @@ class Simulation:
             if hasattr(manager, "fault_report"):
                 summary.update(manager.fault_report())
             result.faults = summary
+        if config.shards > 1:
+            result.sharding = {
+                "single_shard_commits": manager.single_shard_commits,
+                "cross_shard_commits": manager.cross_shard_commits,
+            }
         memory = self.sampler.series["memory_bytes"]
         result.memory_peak_bytes = int(memory.maximum)
         result.memory_mean_bytes = memory.mean

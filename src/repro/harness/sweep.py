@@ -1,9 +1,12 @@
 """JSON result caching for parameter sweeps.
 
 The figure drivers run many simulations; a small on-disk cache makes
-re-rendering a figure (or running the figure-5 bench after the figure-4
-bench, which share the same sweep) cheap.  Entries are keyed by an explicit
-string that includes every parameter that affects the result plus a format
+re-rendering a figure (or ``repro figure 5`` after ``repro figure 4``,
+which share one sweep) cheap.  Two kinds of entry share the store: one
+document per figure-level sweep, and one per simulation run, keyed by the
+config fingerprint (see :class:`~repro.harness.parallel.ParallelRunner`),
+so every sweep, ``repro figure shards`` included, replays its runs from
+disk.  Keys include every parameter that affects the result plus a format
 version, so stale entries are never silently reused.
 """
 

@@ -137,6 +137,21 @@ class TestCellList:
     def test_empty_iteration(self):
         assert list(CellList(0).iter_from_head()) == []
 
+    def test_churn_keeps_the_live_cells(self):
+        import random
+
+        cells = CellList(0)
+        live: list[Cell] = []
+        rng = random.Random(0)
+        for lsn in range(10_000):
+            cell = make_cell(lsn, slot=lsn % 64)
+            cells.append_tail(cell)
+            live.append(cell)
+            if len(live) > 500:
+                cells.remove(live.pop(rng.randrange(len(live))))
+        assert len(cells) == 500
+        assert set(cells.iter_from_head()) == set(live)
+
 
 class TestCellListModel:
     """Random append/remove sequences against a plain list model."""

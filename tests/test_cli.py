@@ -15,6 +15,12 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SMOKE", "1")
 
 
+@pytest.fixture(scope="module")
+def headline_cache(tmp_path_factory):
+    """One cache for the tests that need a smoke headline, not a fresh sweep."""
+    return str(tmp_path_factory.mktemp("headline-cache"))
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -23,7 +29,7 @@ class TestParser:
     def test_run_defaults(self):
         args = build_parser().parse_args(["run"])
         assert args.technique == "el"
-        assert args.sizes == "18,16"
+        assert args.sizes == (18, 16)
 
     def test_figure_choices(self):
         with pytest.raises(SystemExit):
@@ -150,9 +156,9 @@ class TestRecoverCommand:
 
 
 class TestFigureCommand:
-    def test_headline_at_smoke_scale(self, capsys):
-        # REPRO_SMOKE=1 (autouse fixture) keeps the sweep tiny; the cache
-        # directory is isolated per test.
+    def test_headline_at_smoke_scale(self, capsys, monkeypatch, headline_cache):
+        # REPRO_SMOKE=1 (autouse fixture) keeps the sweep tiny.
+        monkeypatch.setenv("REPRO_CACHE_DIR", headline_cache)
         code = main(["figure", "headline"])
         output = capsys.readouterr().out
         assert code == 0
@@ -166,6 +172,85 @@ class TestFigureCommand:
         second = capsys.readouterr().out
         assert "Figure 4" in first
         assert first == second  # cached result is identical
+
+    def test_shards_gates_pass_at_smoke_scale(self, capsys):
+        # Exit 0 means: 1 -> 2 shards >= 1.8x and monotone through 4 for
+        # EL and FW, no failed run, no EL kill (measured 2.03x / 2.05x).
+        code = main(["figure", "shards", "--jobs", "2"])
+        output = capsys.readouterr().out
+        assert code == 0, output
+        assert "el bandwidth scaling: 1->2:" in output
+        assert "x-shard" in output
+        assert "GATE FAILED" not in output
+
+    def test_shards_gate_miss_exits_one(self, monkeypatch, capsys):
+        from repro.harness import experiments
+
+        def fabricated(ratio):
+            """E-shard runs whose bandwidth grows ``ratio``x per doubling."""
+            from repro.harness.results import GenerationResult, SimulationResult
+            from repro.harness.scale import Scale
+
+            runs = []
+            for config in experiments.shard_scaling_configs(Scale.smoke()):
+                wps = 10.0 * ratio ** (config.shards.bit_length() - 1)
+                result = SimulationResult(
+                    technique=config.technique.value,
+                    generation_sizes=list(config.generation_sizes),
+                    recirculation=config.recirculation,
+                    long_fraction=config.long_fraction,
+                    runtime=config.runtime,
+                    seed=config.seed,
+                    flush_write_seconds=config.flush_write_seconds,
+                    transactions_committed=100,
+                )
+                result.generations.append(
+                    GenerationResult(sum(config.generation_sizes), 0, 0, 0, wps, 0, 0)
+                )
+                runs.append((config, result))
+            return runs
+
+        assert experiments.shard_scaling_failures(fabricated(2.0)) == []
+        slow = fabricated(1.5)
+        failures = experiments.shard_scaling_failures(slow)
+        assert len(failures) == 2
+        assert all("1.50x from 1 to 2 shards" in f for f in failures)
+        monkeypatch.setattr(
+            experiments, "run_shard_scaling", lambda *args, **kwargs: slow
+        )
+        assert main(["figure", "shards"]) == 1
+        assert "GATE FAILED: el aggregate bandwidth scaled 1.50x" in (
+            capsys.readouterr().out
+        )
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["run", "--sizes", "18,x"], {}),
+            (["run", "--flush-ms", "0"], {}),
+            (["recover", "--crash-at", "-1"], {}),
+            (["figure", "4"], {"REPRO_RUNTIME": "abc"}),
+        ],
+        ids=["sizes", "flush-ms", "crash-at", "REPRO_RUNTIME"],
+    )
+    def test_bad_input_exits_2_with_one_error_line(
+        self, argv, env, monkeypatch, capsys
+    ):
+        # Bad outside input is a usage error, never a traceback or a
+        # failed-run exit code.
+        if env:
+            monkeypatch.delenv("REPRO_SMOKE")  # it would override the runtime
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse reports type errors this way
+            code = exc.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert sum("error:" in line for line in err.splitlines()) == 1
 
 
 class TestCacheCommand:
@@ -256,7 +341,10 @@ class TestReportCommand:
 
 
 class TestFigureManifest:
-    def test_manifest_dir_writes_manifest(self, tmp_path, capsys):
+    def test_manifest_dir_writes_manifest(
+        self, tmp_path, capsys, monkeypatch, headline_cache
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", headline_cache)
         out = tmp_path / "manifests"
         assert main(["figure", "headline", "--manifest-dir", str(out)]) == 0
         names = sorted(p.name for p in out.iterdir())

@@ -61,6 +61,26 @@ class TestSubmission:
         sim.run()
         assert scheduler.backlog() == 0
 
+    def test_sustained_random_submissions_drain(self, sim):
+        import random
+
+        scheduler, _, done = make_scheduler(
+            sim, num_objects=1_000_000, drives=10, write_seconds=0.001
+        )
+        rng = random.Random(1)
+        for lsn in range(5_000):
+            oid = rng.randrange(1_000_000)
+            scheduler.submit(make_data_record(lsn=lsn, oid=oid, value=lsn,
+                                              timestamp=lsn * 1e-4))
+            if lsn % 50 == 0:
+                sim.run_until(sim.now + 0.01)
+        sim.run()
+        # Resubmitting an oid replaces its stale request, so slightly
+        # fewer than 5,000 flushes complete.
+        assert scheduler.completed > 4_000
+        assert scheduler.completed == len(done)
+        assert scheduler.backlog() == 0
+
     def test_submit_replaces_stale_request(self, sim):
         scheduler, db, _ = make_scheduler(sim, drives=1)
         scheduler.submit(make_data_record(lsn=0, oid=1, value=10))  # in service

@@ -9,8 +9,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import ConfigurationError
 from repro.live import protocol
@@ -69,6 +78,25 @@ async def _run_transactions(host, port, count, updates_per_tx=2, base_oid=0):
     return acked
 
 
+async def _load_in_process(log_dir, technique, duration, target_tps, connections):
+    """Serve ``technique`` in-process under closed-loop load; the report."""
+    server = LiveServer(log_dir, technique=technique)
+    run_task = asyncio.ensure_future(server.run())
+    while server._server is None:
+        await asyncio.sleep(0.01)
+    gen = LoadGenerator(
+        server.host,
+        server.port,
+        duration=duration,
+        target_tps=target_tps,
+        connections=connections,
+    )
+    report = await gen.run()
+    await server.stop()
+    await run_task
+    return report
+
+
 class TestServerIntegration:
     def test_every_acked_commit_is_on_disk_after_shutdown(self, tmp_path):
         """200 transactions; LogScan must prove every acked COMMIT durable."""
@@ -123,25 +151,7 @@ class TestServerIntegration:
 
     def test_loadgen_against_live_server(self, tmp_path):
         """The closed-loop generator commits cleanly against a live server."""
-
-        async def scenario():
-            server = LiveServer(tmp_path, technique="el")
-            run_task = asyncio.ensure_future(server.run())
-            while server._server is None:
-                await asyncio.sleep(0.01)
-            gen = LoadGenerator(
-                server.host,
-                server.port,
-                duration=1.0,
-                target_tps=100.0,
-                connections=4,
-            )
-            report = await gen.run()
-            await server.stop()
-            await run_task
-            return report
-
-        report = asyncio.run(scenario())
+        report = asyncio.run(_load_in_process(tmp_path, "el", 1.0, 100.0, 4))
         assert report.ok
         assert report.committed > 0
         assert report.protocol_errors == 0
@@ -229,6 +239,85 @@ class TestServerIntegration:
         server = asyncio.run(scenario())
         assert server.aborts == 1
         assert not server._txes
+
+
+def _spawn_server(log_dir):
+    """Start ``repro serve --technique el`` as a subprocess; (process, port)."""
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--technique", "el",
+         "--port", "0", "--log-dir", str(log_dir)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    deadline = time.monotonic() + 30.0
+    banner = ""
+    while time.monotonic() < deadline and process.poll() is None:
+        banner = process.stdout.readline()
+        match = re.search(r"on 127\.0\.0\.1:(\d+)", banner)
+        if match:
+            return process, int(match.group(1))
+    process.kill()
+    process.wait(timeout=30)
+    raise AssertionError(f"server never announced a port: {banner!r}")
+
+
+class TestServiceGates:
+    def test_el_sustains_200_tps_and_fw_commits(self, tmp_path):
+        # 400 TPS offered leaves the closed loop room to show what EL
+        # saturates at (measured ~389 committed TPS on a 2-core box).
+        el = asyncio.run(_load_in_process(tmp_path / "el", "el", 4.0, 400.0, 16))
+        assert el.tps >= 200.0, el.tps
+        assert el.errors == 0 and el.protocol_errors == 0
+        assert el.commit_latency.snapshot()["p99"] is not None
+        fw = asyncio.run(_load_in_process(tmp_path / "fw", "fw", 2.0, 400.0, 16))
+        assert fw.committed > 0
+
+    def test_sigkill_mid_load_loses_nothing(self, tmp_path):
+        """SIGKILL a serving process mid-load; recovery keeps every ack.
+
+        Recovery over the log files plus the database snapshot must show
+        no lost acknowledged update and no phantom object.  This gate is
+        weaker than it looks: the kill usually lands after the installs it
+        races have finished, so recovery often replays no log record at
+        all (0, 0, 7 and 16 records in four runs on a 2-core box).  A
+        kill/restart loop that requires replay is open (ROADMAP item 2).
+        """
+        log_dir = tmp_path / "sigkill"
+        process, port = _spawn_server(log_dir)
+        try:
+            gen = LoadGenerator(
+                "127.0.0.1",
+                port,
+                duration=20.0,  # far beyond the kill; clients die with it
+                target_tps=400.0,
+                connections=8,
+            )
+
+            async def scenario():
+                load = asyncio.ensure_future(gen.run())
+                await asyncio.sleep(2.0)
+                process.send_signal(signal.SIGKILL)
+                return await load
+
+            report = asyncio.run(scenario())
+        finally:
+            process.kill()
+            process.wait(timeout=30)
+            process.stdout.close()
+        assert report.committed > 0, "no transaction committed before the kill"
+
+        stable = FileBackedDatabase.load_snapshot(log_dir / "db.dat")
+        recovery = SinglePassRecovery(read_log_directory(log_dir))
+        recovered = recovery.recover(stable)
+        verdict = RecoveryVerifier(report.acked_updates).check_crash_consistency(
+            float("inf"), recovered, scan=recovery.scan, stable=stable
+        )
+        assert verdict.lost_updates == [], verdict.lost_updates[:3]
+        assert verdict.phantom_objects == [], verdict.phantom_objects[:3]
 
 
 class TestServerConfig:

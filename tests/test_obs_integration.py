@@ -9,10 +9,12 @@ rendering used by ``repro report``.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.harness.config import SimulationConfig
-from repro.harness.simulator import Simulation
+from repro.harness.simulator import Simulation, run_simulation
 from repro.metrics.report import format_manifest, format_trace_summary
 from repro.obs import ObsConfig, read_jsonl, summarise_events
 from repro.obs.manifest import RunManifest
@@ -143,3 +145,34 @@ class TestDisabledByDefault:
         kinds = {e.kind for e in events if e.source == "fw"}
         assert "space_reclaim" in kinds
         assert result.transactions_begun > 0
+
+
+class TestOverhead:
+    def test_enabled_path_costs_under_25x(self, tmp_path):
+        """A tripwire against accidental quadratic cost in the obs layer.
+
+        The same 30 s EL run with observability off and fully on (trace +
+        metrics + JSONL export); best-of-3 wall time each, the off side
+        measured before and after to bound clock noise.
+        """
+
+        def best_wall(config) -> float:
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                assert run_simulation(config).transactions_committed > 0
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        base = SimulationConfig.ephemeral((18, 16), runtime=30.0)
+        disabled = best_wall(base)
+        enabled = best_wall(
+            base.replace(
+                obs=ObsConfig.full(
+                    jsonl_path=str(tmp_path / "overhead.jsonl"),
+                    manifest_path=str(tmp_path / "overhead.manifest.json"),
+                )
+            )
+        )
+        disabled = min(disabled, best_wall(base))
+        assert enabled < disabled * 25.0

@@ -188,3 +188,17 @@ class TestDeterminism:
             return order
 
         assert run() == run()
+
+    def test_long_self_rescheduling_chain_completes(self):
+        sim = Simulator()
+        fired = [0]
+
+        def tick():
+            fired[0] += 1
+            if fired[0] < 20_000:
+                sim.after(0.001, tick)
+
+        sim.after(0.0, tick)
+        sim.run()
+        assert fired[0] == 20_000
+        assert sim.events_executed == 20_000
