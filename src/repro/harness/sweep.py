@@ -22,7 +22,8 @@ from typing import Callable, Optional
 #: Bump when result formats or simulation semantics change.
 #: v4: filenames carry a digest of the raw key (collision fix) and the
 #: per-run cache keys results by config fingerprint.
-CACHE_VERSION = 4
+#: v5: sharded results carry the optional ``sharding`` dict.
+CACHE_VERSION = 5
 
 
 def default_cache_dir() -> Path:

@@ -56,6 +56,15 @@ class TestRunFaultSweep:
                 assert committed > 0.5 * baseline["transactions_committed"], (
                     technique, rate, committed
                 )
+                # --rate must reach the FaultPlan: a faulty run injects
+                # disk faults, the rate-0 baseline none.
+                write_faults = (report["result"].get("faults") or {}).get(
+                    "write_faults", 0
+                )
+                if rate > 0:
+                    assert write_faults > 0, (technique, rate)
+                else:
+                    assert write_faults == 0, (technique, rate)
                 assert len(report["checks"]) == 3
                 for check in report["checks"]:
                     assert check["records_applied"] > 0, (technique, rate, check)

@@ -267,8 +267,14 @@ def _spawn_server(log_dir):
 
 class TestServiceGates:
     def test_el_sustains_200_tps_and_fw_commits(self, tmp_path):
-        # 400 TPS offered leaves the closed loop room to show what EL
-        # saturates at (measured ~389 committed TPS on a 2-core box).
+        """EL commits >= 200 TPS of the 400 offered; FW commits at all.
+
+        Headroom, measured on a 2-core box, three 4 s runs per load: idle
+        388-389 committed TPS; with 1 or 2 busy-looping processes 387-390;
+        with 4, 375-383; with 8, 340-374.  The load is paced, so CPU
+        contention barely moves it, and a reading near 200 points at the
+        service, not at a busy machine.
+        """
         el = asyncio.run(_load_in_process(tmp_path / "el", "el", 4.0, 400.0, 16))
         assert el.tps >= 200.0, el.tps
         assert el.errors == 0 and el.protocol_errors == 0
