@@ -514,15 +514,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         technique=args.technique,
         generation_sizes=args.sizes,
         shards=args.shards,
-        recirculation=not args.no_recirculation,
         host=args.host,
         port=args.port,
         num_objects=args.num_objects,
         max_inflight=args.max_inflight,
-        group_commit_seconds=args.group_commit_ms / 1000.0,
-        flush_drives=args.flush_drives,
-        flush_write_seconds=args.flush_ms / 1000.0,
-        fsync=not args.no_fsync,
     )
 
     async def _serve() -> None:
@@ -545,8 +540,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"aborted              : {counters['server.aborts']}")
     print(f"killed               : {counters['server.kills']}")
     print(f"rejected             : {counters['server.rejections']}")
-    print(f"log blocks written   : {counters.get('log.blocks_written', 0)}")
-    print(f"log fsyncs           : {counters.get('log.fsyncs', 0)}")
+    print(f"log blocks written   : {counters['log.blocks_written']}")
+    print(f"log fsyncs           : {counters['log.fsyncs']}")
     print(f"manifest             : {server.log_dir / 'server-manifest.json'}")
     return 0
 
@@ -717,7 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="generation sizes in blocks (FW uses the first); live default "
         "128,128 = 1 MB of preallocated log per shard",
     )
-    serve_parser.add_argument("--no-recirculation", action="store_true")
     serve_parser.add_argument("--shards", type=_positive_int, default=1)
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument(
@@ -745,26 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=256,
         help="admission limit on begun-but-unresolved transactions",
-    )
-    serve_parser.add_argument(
-        "--group-commit-ms",
-        type=_positive_float,
-        default=5.0,
-        help="group-commit deadline: open buffers holding pending commits "
-        "are sealed after this long (ms)",
-    )
-    serve_parser.add_argument("--flush-drives", type=_positive_int, default=10)
-    serve_parser.add_argument(
-        "--flush-ms",
-        type=_positive_float,
-        default=2.0,
-        help="modelled per-flush transfer time (ms); live default 2 ms "
-        "(SSD-class) instead of the paper's 25 ms",
-    )
-    serve_parser.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip fsync on log writes (crash-unsafe; benchmarking only)",
     )
     serve_parser.set_defaults(func=_cmd_serve)
 

@@ -225,7 +225,7 @@ class EphemeralLogManager(LogManager):
         if reserved:
             self._ensure_gap(entry.home_generation)
 
-    def log_update(self, tid: int, oid: int, value: int, size: int) -> int:
+    def log_update(self, tid: int, oid: int, value: int, size: int) -> DataLogRecord:
         entry = self.ltt.require(tid)
         if entry.status is not TxStatus.ACTIVE:
             raise SimulationError(f"tx {tid} is {entry.status.value}, cannot update")
@@ -239,7 +239,7 @@ class EphemeralLogManager(LogManager):
         self.fresh_records += 1
         if reserved:
             self._ensure_gap(entry.home_generation)
-        return record.lsn
+        return record
 
     def request_commit(self, tid: int, on_ack: CommitAckCallback) -> None:
         entry = self.ltt.require(tid)

@@ -199,13 +199,6 @@ class FlushScheduler:
         """Pending requests over all drives (excludes in-service ones)."""
         return self._backlog
 
-    def pending_oids(self) -> list[int]:
-        """All queued oids (diagnostics/tests)."""
-        result: list[int] = []
-        for pool in self._pools:
-            result.extend(pool.oids)
-        return result
-
     @property
     def max_rate(self) -> float:
         """Aggregate service rate in flushes/second (the paper's headline)."""

@@ -46,6 +46,7 @@ from repro.db.database import StableDatabase
 from repro.disk.block import BlockImage
 from repro.disk.partition import RangePartitioner
 from repro.errors import ConfigurationError, LogFullError, SimulationError
+from repro.faults.injector import NULL_FAULTS
 from repro.obs.events import NULL_TRACE, EventStream
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.records.base import next_lsn_factory
@@ -141,7 +142,8 @@ class HybridLogManager(LogManager):
         self._m_kills = metrics.counter("hybrid.kills")
         self._next_lsn = next_lsn_factory()
 
-        self.queues: List[Generation] = [
+        #: One FIFO queue per generation (the paper's "chain of FIFO queues").
+        self.generations: List[Generation] = [
             Generation(
                 sim,
                 index,
@@ -176,6 +178,8 @@ class HybridLogManager(LogManager):
         self._advancing = [False] * len(sizes)
 
         self.on_kill: Optional[Callable[[int, float], None]] = None
+        #: Never enabled: the hybrid has no self-healing hooks.
+        self.faults = NULL_FAULTS
         self.begun_count = 0
         self.committed_count = 0
         self.aborted_count = 0
@@ -196,14 +200,14 @@ class HybridLogManager(LogManager):
         record = BeginRecord(self._next_lsn(), tid, self.sim.now)
         self._append_fresh(entry, record)
 
-    def log_update(self, tid: int, oid: int, value: int, size: int) -> int:
+    def log_update(self, tid: int, oid: int, value: int, size: int) -> DataLogRecord:
         entry = self._require(tid)
         if entry.status is not _HybridStatus.ACTIVE:
             raise SimulationError(f"tx {tid} is {entry.status.value}, cannot update")
         record = DataLogRecord(self._next_lsn(), tid, self.sim.now, size, oid, value)
         entry.updates[oid] = (value, record.timestamp, record.lsn, size)
         self._append_fresh(entry, record)
-        return record.lsn
+        return record
 
     def request_commit(self, tid: int, on_ack: CommitAckCallback) -> None:
         entry = self._require(tid)
@@ -230,19 +234,36 @@ class HybridLogManager(LogManager):
         return self.memory_model.bytes_used(len(self._entries), 0)
 
     def log_blocks_written(self) -> int:
-        return sum(q.blocks_written for q in self.queues)
+        return sum(q.blocks_written for q in self.generations)
 
     def total_log_capacity(self) -> int:
-        return sum(q.capacity for q in self.queues)
+        return sum(q.capacity for q in self.generations)
 
     def live_transactions(self) -> int:
         return sum(1 for e in self._entries.values() if e.is_live)
+
+    def counters_snapshot(self) -> Dict[str, object]:
+        """Manager-level counters as one JSON-ready dict (for manifests)."""
+        return {
+            "begun": self.begun_count,
+            "committed": self.committed_count,
+            "kills": self.kill_count,
+            "regenerated_records": self.regenerated_records,
+            "blocks_written_by_generation": [
+                q.blocks_written for q in self.generations
+            ],
+            "flush": self.scheduler.counters_snapshot(),
+        }
+
+    def durable_images(self) -> List[BlockImage]:
+        """All block images currently on disk — the crash-recovery input."""
+        return [image for q in self.generations for image in q.durable.values()]
 
     # ==================================================================
     # Internals — appending and anchoring
     # ==================================================================
     def _append_fresh(self, entry: _HybridEntry, record) -> None:
-        queue = self.queues[entry.queue_index]
+        queue = self.generations[entry.queue_index]
         address, reserved = queue.append(record)
         self.fresh_records += 1
         if entry.oldest_slot is None:
@@ -271,7 +292,7 @@ class HybridLogManager(LogManager):
         if self._advancing[queue_index]:
             return
         self._advancing[queue_index] = True
-        queue = self.queues[queue_index]
+        queue = self.generations[queue_index]
         processed = 0
         limit = 2 * queue.capacity + 8
         try:
@@ -293,7 +314,7 @@ class HybridLogManager(LogManager):
             self._advancing[queue_index] = False
 
     def _advance_head_once(self, queue_index: int) -> bool:
-        queue = self.queues[queue_index]
+        queue = self.generations[queue_index]
         if queue.array.empty:
             return False
         if queue.head_image() is None:
@@ -317,7 +338,7 @@ class HybridLogManager(LogManager):
         # Write the regenerated group once per freed head block — sealing
         # per transaction would amplify bandwidth with near-empty blocks.
         for target_index in touched:
-            self.queues[target_index].seal_migration()
+            self.generations[target_index].seal_migration()
         return True
 
     def _relocate(self, entry: _HybridEntry) -> int:
@@ -327,9 +348,9 @@ class HybridLogManager(LogManager):
         regenerated group once the whole head block has been processed.
         """
         source_index = entry.queue_index
-        last = len(self.queues) - 1
+        last = len(self.generations) - 1
         target_index = min(source_index + 1, last)
-        target = self.queues[target_index]
+        target = self.generations[target_index]
         entry.queue_index = target_index
         records = self._regenerate_records(entry)
         if not records:
@@ -485,5 +506,5 @@ class HybridLogManager(LogManager):
         return entry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        sizes = [q.capacity for q in self.queues]
+        sizes = [q.capacity for q in self.generations]
         return f"<HybridLogManager queues={sizes} kills={self.kill_count}>"

@@ -14,6 +14,8 @@ import abc
 import enum
 from typing import Callable, Optional
 
+from repro.records.data import DataLogRecord
+
 #: Callback fired when a transaction's COMMIT becomes durable (t4 in Fig. 3).
 CommitAckCallback = Callable[[int, float], None]
 #: Callback fired when the LM kills a transaction for lack of log space.
@@ -42,6 +44,15 @@ class LogManager(abc.ABC):
     #: Hook the workload installs to learn about kills (cancel future work).
     on_kill: Optional[KillCallback]
 
+    #: Record counts the harness reads off every manager; a technique
+    #: without the mechanism (FW never forwards, EL never regenerates)
+    #: leaves its count at zero.
+    fresh_records = 0
+    forwarded_records = 0
+    recirculated_records = 0
+    regenerated_records = 0
+    garbage_copies_discarded = 0
+
     # ------------------------------------------------------------------
     # Transaction-facing operations
     # ------------------------------------------------------------------
@@ -56,12 +67,14 @@ class LogManager(abc.ABC):
         """
 
     @abc.abstractmethod
-    def log_update(self, tid: int, oid: int, value: int, size: int) -> int:
+    def log_update(
+        self, tid: int, oid: int, value: int, size: int
+    ) -> DataLogRecord:
         """Record that ``tid`` wrote ``value`` to object ``oid``.
 
         ``size`` is the data log record's size in bytes (the workload's
-        per-type record size).  Returns the data record's LSN, which the
-        caller can use to correlate with recovery output."""
+        per-type record size).  Returns the appended data record: its LSN
+        and timestamp are what recovery reads back for this update."""
 
     @abc.abstractmethod
     def request_commit(self, tid: int, on_ack: CommitAckCallback) -> None:

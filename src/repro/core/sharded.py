@@ -42,21 +42,20 @@ from repro.constants import (
     GAP_THRESHOLD_BLOCKS,
     LOG_WRITE_SECONDS,
 )
+from repro.core.build import build_manager
 from repro.core.ephemeral import EphemeralLogManager
-from repro.core.firewall import FirewallLogManager
 from repro.core.interface import CommitAckCallback, LogManager, UnflushedHeadPolicy
 from repro.core.killpolicy import KillPolicy
 from repro.core.ltt import TxStatus
-from repro.core.placement import LifetimePlacementPolicy
 from repro.db.database import StableDatabase
 from repro.disk.block import BlockImage
 from repro.disk.partition import RangePartitioner
 from repro.errors import ConfigurationError, SimulationError
-from repro.faults.injector import NULL_FAULTS, FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.obs.events import NULL_TRACE, EventStream
 from repro.obs.metrics import Histogram, MetricsRegistry, NULL_METRICS
 from repro.records.base import next_lsn_factory
+from repro.records.data import DataLogRecord
 from repro.sim.engine import Simulator
 
 
@@ -310,69 +309,37 @@ class ShardedLogManager(LogManager):
         # One LSN sequence across all shards: recovery dedupes by LSN.
         lsn_factory = next_lsn_factory()
 
-        injectors: List[FaultInjector] = []
-        self._shards: List[EphemeralLogManager] = []
+        self.shards: List[EphemeralLogManager] = []
         for index in range(shard_count):
-            shard_metrics = _PrefixedMetrics(metrics, f"s{index}.")
-            shard_trace = _ShardTrace(trace, index)
-            if fault_plan is not None and fault_plan.any_enabled:
-                shard_faults = FaultInjector(
-                    fault_plan,
-                    _PrefixedRng(rng, f"shard{index}"),
-                    metrics=shard_metrics,
-                )
-                injectors.append(shard_faults)
-            else:
-                shard_faults = NULL_FAULTS
-            if technique == "fw":
-                shard = FirewallLogManager(
-                    sim,
-                    database,
-                    log_blocks=generation_sizes[0],
-                    flush_drives=flush_drives,
-                    flush_write_seconds=flush_write_seconds,
-                    payload_bytes=payload_bytes,
-                    buffer_count=buffer_count,
-                    gap_blocks=gap_blocks,
-                    log_write_seconds=log_write_seconds,
-                    kill_policy=kill_policy,
-                    trace=shard_trace,
-                    metrics=shard_metrics,
-                    faults=shard_faults,
-                    lsn_factory=lsn_factory,
-                    flush_span=self.router.range_of(index),
-                )
-            else:
-                placement = (
-                    LifetimePlacementPolicy(placement_boundaries)
-                    if placement_boundaries is not None
-                    else None
-                )
-                shard = EphemeralLogManager(
-                    sim,
-                    database,
-                    generation_sizes=generation_sizes,
-                    recirculation=recirculation,
-                    flush_drives=flush_drives,
-                    flush_write_seconds=flush_write_seconds,
-                    payload_bytes=payload_bytes,
-                    buffer_count=buffer_count,
-                    gap_blocks=gap_blocks,
-                    log_write_seconds=log_write_seconds,
-                    unflushed_head_policy=unflushed_head_policy,
-                    kill_policy=kill_policy,
-                    placement=placement,
-                    trace=shard_trace,
-                    metrics=shard_metrics,
-                    faults=shard_faults,
-                    lsn_factory=lsn_factory,
-                    flush_span=self.router.range_of(index),
-                )
+            shard = build_manager(
+                sim,
+                database,
+                technique=technique,
+                generation_sizes=generation_sizes,
+                recirculation=recirculation,
+                unflushed_head_policy=unflushed_head_policy,
+                placement_boundaries=placement_boundaries,
+                fault_plan=fault_plan,
+                rng=_PrefixedRng(rng, f"shard{index}"),
+                metrics=_PrefixedMetrics(metrics, f"s{index}."),
+                trace=_ShardTrace(trace, index),
+                flush_drives=flush_drives,
+                flush_write_seconds=flush_write_seconds,
+                payload_bytes=payload_bytes,
+                buffer_count=buffer_count,
+                gap_blocks=gap_blocks,
+                log_write_seconds=log_write_seconds,
+                kill_policy=kill_policy,
+                lsn_factory=lsn_factory,
+                flush_span=self.router.range_of(index),
+            )
             shard.on_kill = self._kill_handler(index)
-            self._shards.append(shard)
+            self.shards.append(shard)
 
-        self.faults = _AggregateFaultView(injectors)
-        self.scheduler = _AggregateFlushView(s.scheduler for s in self._shards)
+        self.faults = _AggregateFaultView(
+            s.faults for s in self.shards if s.faults.enabled
+        )
+        self.scheduler = _AggregateFlushView(s.scheduler for s in self.shards)
 
         #: Per-tx vote table; entries exist from ``begin`` until the commit
         #: acknowledges, the transaction aborts, or a shard kills it.
@@ -411,11 +378,11 @@ class ShardedLogManager(LogManager):
             # byte-identity contract for shards=1).
             self._touch(tx, 0)
 
-    def log_update(self, tid: int, oid: int, value: int, size: int) -> int:
+    def log_update(self, tid: int, oid: int, value: int, size: int) -> DataLogRecord:
         tx = self._require(tid)
         shard_index = self.router.drive_of(oid)
         self._touch(tx, shard_index)
-        return self._shards[shard_index].log_update(tid, oid, value, size)
+        return self.shards[shard_index].log_update(tid, oid, value, size)
 
     def request_commit(self, tid: int, on_ack: CommitAckCallback) -> None:
         tx = self._require(tid)
@@ -448,7 +415,7 @@ class ShardedLogManager(LogManager):
                 # handler already tore the transaction down; stop issuing
                 # COMMITs for it.
                 break
-            self._shards[shard_index].request_commit(
+            self.shards[shard_index].request_commit(
                 tid, self._vote_callback(shard_index)
             )
 
@@ -458,7 +425,7 @@ class ShardedLogManager(LogManager):
             raise SimulationError(f"tx {tid} is committing, cannot abort")
         del self._txes[tid]
         for shard_index in sorted(tx.began):
-            self._shards[shard_index].abort(tid)
+            self.shards[shard_index].abort(tid)
         self.aborted_count += 1
 
     # ==================================================================
@@ -474,7 +441,7 @@ class ShardedLogManager(LogManager):
         if shard_index in tx.began:
             return
         tx.began.add(shard_index)
-        self._shards[shard_index].begin(tx.tid, expected_lifetime=tx.lifetime)
+        self.shards[shard_index].begin(tx.tid, expected_lifetime=tx.lifetime)
 
     def _vote_callback(self, shard_index: int) -> CommitAckCallback:
         def _vote(tid: int, when: float) -> None:
@@ -515,7 +482,7 @@ class ShardedLogManager(LogManager):
         for other in sorted(tx.began):
             if other == shard_index:
                 continue
-            shard = self._shards[other]
+            shard = self.shards[other]
             entry = shard.ltt.get(tid)
             if entry is not None and entry.status is TxStatus.ACTIVE:
                 shard.abort(tid)
@@ -528,69 +495,65 @@ class ShardedLogManager(LogManager):
     # Introspection (the harness reads these off any manager)
     # ==================================================================
     @property
-    def shards(self) -> List[EphemeralLogManager]:
-        return self._shards
-
-    @property
     def lot(self) -> _SummedLen:
-        return _SummedLen([s.lot for s in self._shards])
+        return _SummedLen([s.lot for s in self.shards])
 
     @property
     def ltt(self) -> _SummedLen:
-        return _SummedLen([s.ltt for s in self._shards])
+        return _SummedLen([s.ltt for s in self.shards])
 
     @property
     def generations(self):
         """All shards' generations, shard-major (the crash-capture view)."""
-        return [g for shard in self._shards for g in shard.generations]
+        return [g for shard in self.shards for g in shard.generations]
 
     @property
     def fresh_records(self) -> int:
-        return sum(s.fresh_records for s in self._shards)
+        return sum(s.fresh_records for s in self.shards)
 
     @property
     def forwarded_records(self) -> int:
-        return sum(s.forwarded_records for s in self._shards)
+        return sum(s.forwarded_records for s in self.shards)
 
     @property
     def recirculated_records(self) -> int:
-        return sum(s.recirculated_records for s in self._shards)
+        return sum(s.recirculated_records for s in self.shards)
 
     @property
     def emergency_recirculations(self) -> int:
-        return sum(s.emergency_recirculations for s in self._shards)
+        return sum(s.emergency_recirculations for s in self.shards)
 
     @property
     def garbage_copies_discarded(self) -> int:
-        return sum(s.garbage_copies_discarded for s in self._shards)
+        return sum(s.garbage_copies_discarded for s in self.shards)
 
     def memory_bytes(self) -> int:
-        return sum(s.memory_bytes() for s in self._shards)
+        return sum(s.memory_bytes() for s in self.shards)
 
     def log_blocks_written(self) -> int:
-        return sum(s.log_blocks_written() for s in self._shards)
+        return sum(s.log_blocks_written() for s in self.shards)
 
     def total_log_capacity(self) -> int:
-        return sum(s.total_log_capacity() for s in self._shards)
+        return sum(s.total_log_capacity() for s in self.shards)
 
     def blocks_written_by_generation(self) -> List[int]:
-        return [n for s in self._shards for n in s.blocks_written_by_generation()]
+        return [n for s in self.shards for n in s.blocks_written_by_generation()]
 
     def drain(self) -> None:
-        for shard in self._shards:
+        for shard in self.shards:
             shard.drain()
 
     def durable_images(self) -> List[BlockImage]:
-        return [image for shard in self._shards for image in shard.durable_images()]
+        return [image for shard in self.shards for image in shard.durable_images()]
 
     def check_invariants(self) -> None:
-        for shard in self._shards:
+        for shard in self.shards:
             shard.check_invariants()
         for tid, tx in self._txes.items():
             if tx.killed:
                 raise SimulationError(f"killed tx {tid} still in the vote table")
             for shard_index in tx.began:
-                if self._shards[shard_index].ltt.get(tid) is None:
+                if self.shards[shard_index].ltt.get(tid) is None:
                     raise SimulationError(
                         f"tx {tid} began on shard {shard_index} but has no "
                         f"LTT entry there"
@@ -632,7 +595,7 @@ class ShardedLogManager(LogManager):
             "cross_shard_commits": self.cross_shard_commits,
             "blocks_written_by_generation": self.blocks_written_by_generation(),
             "flush": self.scheduler.counters_snapshot(),
-            "per_shard": [s.counters_snapshot() for s in self._shards],
+            "per_shard": [s.counters_snapshot() for s in self.shards],
         }
         settle = self.merged_metric_histogram("flush.settle_seconds")
         if settle is not None:
@@ -645,7 +608,7 @@ class ShardedLogManager(LogManager):
 
     def fault_report(self) -> Dict[str, object]:
         """Shard-summed view of the per-shard fault/self-healing reports."""
-        reports = [s.fault_report() for s in self._shards]
+        reports = [s.fault_report() for s in self.shards]
         summed: Dict[str, object] = {}
         for key in (
             "write_faults",

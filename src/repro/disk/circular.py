@@ -76,10 +76,6 @@ class CircularBlockArray:
         return self.capacity - len(self._retired)
 
     @property
-    def retired_count(self) -> int:
-        return len(self._retired)
-
-    @property
     def retired_slots(self) -> Tuple[int, ...]:
         return tuple(sorted(self._retired))
 

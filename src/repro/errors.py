@@ -35,16 +35,8 @@ class LogFullError(ReproError):
     """
 
 
-class BufferPoolExhaustedError(ReproError):
-    """All block buffers of a generation are in flight and stalls are forbidden."""
-
-
 class RecordIntegrityError(ReproError):
     """A log record failed validation (bad size, type or encoding)."""
-
-
-class RecoveryError(ReproError):
-    """Recovery could not reconstruct a consistent database state."""
 
 
 class WorkloadError(ConfigurationError):

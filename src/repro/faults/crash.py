@@ -43,10 +43,9 @@ def capture_crash_images(
     """
     plan = simulation.config.faults
     images = list(simulation.capture_durable_log())
-    queues = getattr(simulation.manager, "generations", None)
-    if queues is None or plan is None or not plan.torn_on_crash:
+    if plan is None or not plan.torn_on_crash:
         return images
-    for generation in queues:
+    for generation in simulation.manager.generations:
         for image in generation.in_flight.values():
             if not image.records:
                 continue

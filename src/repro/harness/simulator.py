@@ -9,16 +9,14 @@ exposes crash-state capture for the recovery experiments.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
-from repro.core.ephemeral import EphemeralLogManager
-from repro.core.firewall import FirewallLogManager
-from repro.core.placement import LifetimePlacementPolicy
+from repro.core.build import build_manager
+from repro.core.interface import LogManager
 from repro.db.database import StableDatabase
 from repro.db.objects import ObjectVersion
 from repro.disk.block import BlockImage
 from repro.errors import LogFullError
-from repro.faults.injector import NULL_FAULTS, FaultInjector
 from repro.harness.config import SimulationConfig, Technique
 from repro.harness.results import GenerationResult, SimulationResult
 from repro.metrics.series import PeriodicSampler
@@ -29,8 +27,6 @@ from repro.workload.arrivals import PoissonArrivals
 from repro.workload.generator import WorkloadGenerator
 
 if TYPE_CHECKING:
-    from repro.core.hybrid import HybridLogManager
-    from repro.core.sharded import ShardedLogManager
     from repro.obs.manifest import RunManifest
 
 
@@ -44,20 +40,8 @@ class Simulation:
         self.database = StableDatabase(config.num_objects)
         self.obs = Observability(config.obs)
         self.manifest: Optional[RunManifest] = None
-        if config.shards > 1:
-            # The sharded manager builds one injector per shard from the
-            # plan (substreams keyed ``shard{i}/...``); ``self.faults``
-            # becomes its aggregate view after construction.
-            self.faults = NULL_FAULTS
-        elif config.faults is not None and config.faults.any_enabled:
-            self.faults = FaultInjector(
-                config.faults, self.rng, metrics=self.obs.metrics
-            )
-        else:
-            self.faults = NULL_FAULTS
         self.manager = self._build_manager()
-        if config.shards > 1:
-            self.faults = self.manager.faults
+        self.faults = self.manager.faults
         self.generator = WorkloadGenerator(
             self.sim,
             self.manager,
@@ -79,7 +63,8 @@ class Simulation:
         self.sampler = PeriodicSampler(self.sim, config.sample_period)
         self.sampler.add_probe("memory_bytes", self.manager.memory_bytes)
         self.sampler.add_probe("flush_backlog", self._flush_backlog)
-        if hasattr(self.manager, "lot"):
+        if config.technique is not Technique.HYBRID:
+            # The hybrid keeps no LOT or LTT, only one entry per transaction.
             self.sampler.add_probe("lot_entries", lambda: len(self.manager.lot))
             self.sampler.add_probe("ltt_entries", lambda: len(self.manager.ltt))
         if self.obs.metrics.enabled:
@@ -93,11 +78,19 @@ class Simulation:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build_manager(
-        self,
-    ) -> Union[EphemeralLogManager, HybridLogManager, ShardedLogManager]:
+    def _build_manager(self) -> LogManager:
         config = self.config
-        common = dict(
+        return build_manager(
+            self.sim,
+            self.database,
+            technique=config.technique.value,
+            generation_sizes=config.generation_sizes,
+            shards=config.shards,
+            recirculation=config.recirculation,
+            unflushed_head_policy=config.unflushed_head_policy,
+            placement_boundaries=config.placement_boundaries,
+            fault_plan=config.faults,
+            rng=self.rng,
             flush_drives=config.flush_drives,
             flush_write_seconds=config.flush_write_seconds,
             payload_bytes=config.payload_bytes,
@@ -108,77 +101,15 @@ class Simulation:
             trace=self.obs.trace,
             metrics=self.obs.metrics,
         )
-        if config.shards > 1:
-            # config.__post_init__ restricts shards > 1 to el/fw.
-            from repro.core.sharded import ShardedLogManager
-
-            return ShardedLogManager(
-                self.sim,
-                self.database,
-                shard_count=config.shards,
-                technique=config.technique.value,
-                generation_sizes=config.generation_sizes,
-                recirculation=config.recirculation,
-                unflushed_head_policy=config.unflushed_head_policy,
-                placement_boundaries=config.placement_boundaries,
-                fault_plan=config.faults,
-                rng=self.rng,
-                **common,
-            )
-        if config.technique is Technique.FIREWALL:
-            return FirewallLogManager(
-                self.sim,
-                self.database,
-                log_blocks=config.generation_sizes[0],
-                faults=self.faults,
-                **common,
-            )
-        if config.technique is Technique.HYBRID:
-            # config.__post_init__ rejects hybrid + an enabled fault plan;
-            # the hybrid manager has no self-healing hooks.
-            from repro.core.hybrid import HybridLogManager
-
-            return HybridLogManager(
-                self.sim,
-                self.database,
-                queue_sizes=config.generation_sizes,
-                **common,
-            )
-        placement = None
-        if config.placement_boundaries is not None:
-            placement = LifetimePlacementPolicy(config.placement_boundaries)
-        return EphemeralLogManager(
-            self.sim,
-            self.database,
-            generation_sizes=config.generation_sizes,
-            recirculation=config.recirculation,
-            unflushed_head_policy=config.unflushed_head_policy,
-            placement=placement,
-            faults=self.faults,
-            **common,
-        )
 
     def _flush_backlog(self) -> float:
         return float(self.manager.scheduler.backlog())
 
     def _manager_counters(self, result: SimulationResult) -> dict:
         """Manifest counter block: manager counters plus the drive view."""
-        manager = self.manager
-        if hasattr(manager, "counters_snapshot"):
-            counters = manager.counters_snapshot()
-        else:  # the hybrid manager keeps a reduced counter set
-            counters = {
-                "begun": getattr(manager, "begun_count", 0),
-                "committed": getattr(manager, "committed_count", 0),
-                "kills": getattr(manager, "kill_count", 0),
-                "regenerated_records": getattr(manager, "regenerated_records", 0),
-                "blocks_written_by_generation": [
-                    q.blocks_written for q in manager.queues
-                ],
-                "flush": manager.scheduler.counters_snapshot(),
-            }
+        counters = self.manager.counters_snapshot()
         elapsed = max(self.sim.now, 1e-9)
-        counters["drives"] = manager.scheduler.drive_report(elapsed)
+        counters["drives"] = self.manager.scheduler.drive_report(elapsed)
         counters["transactions_killed"] = result.transactions_killed
         counters["events_executed"] = result.events_executed
         return counters
@@ -245,13 +176,7 @@ class Simulation:
     # ------------------------------------------------------------------
     def capture_durable_log(self) -> List[BlockImage]:
         """Block images durably on disk right now."""
-        queues = getattr(self.manager, "generations", None)
-        if queues is None:
-            queues = self.manager.queues  # hybrid
-        images: List[BlockImage] = []
-        for queue in queues:
-            images.extend(queue.durable.values())
-        return images
+        return self.manager.durable_images()
 
     def capture_stable_database(self) -> Dict[int, ObjectVersion]:
         """Snapshot of the stable database right now."""
@@ -265,9 +190,6 @@ class Simulation:
         manager = self.manager
         stats = self.generator.stats
         elapsed = max(self.sim.now, 1e-9)
-        queues = getattr(manager, "generations", None)
-        if queues is None:
-            queues = manager.queues
 
         result = SimulationResult(
             technique=config.technique.value,
@@ -284,11 +206,11 @@ class Simulation:
             updates_written=stats.updates_written,
             mean_commit_latency=stats.mean_commit_latency,
             max_commit_latency=stats.commit_latency_max,
-            fresh_records=getattr(manager, "fresh_records", 0),
-            forwarded_records=getattr(manager, "forwarded_records", 0),
-            recirculated_records=getattr(manager, "recirculated_records", 0),
-            regenerated_records=getattr(manager, "regenerated_records", 0),
-            garbage_copies_discarded=getattr(manager, "garbage_copies_discarded", 0),
+            fresh_records=manager.fresh_records,
+            forwarded_records=manager.forwarded_records,
+            recirculated_records=manager.recirculated_records,
+            regenerated_records=manager.regenerated_records,
+            garbage_copies_discarded=manager.garbage_copies_discarded,
             flushes_completed=manager.scheduler.completed,
             demand_flushes=manager.scheduler.demand_flushes,
             flush_peak_backlog=manager.scheduler.peak_backlog,
@@ -298,10 +220,10 @@ class Simulation:
             failed=failed,
         )
         if self.faults.enabled:
-            summary = {"injected": self.faults.counters_snapshot()}
-            if hasattr(manager, "fault_report"):
-                summary.update(manager.fault_report())
-            result.faults = summary
+            result.faults = {
+                "injected": self.faults.counters_snapshot(),
+                **manager.fault_report(),
+            }
         if config.shards > 1:
             result.sharding = {
                 "single_shard_commits": manager.single_shard_commits,
@@ -313,7 +235,7 @@ class Simulation:
         if "lot_entries" in self.sampler.series:
             result.lot_peak_entries = int(self.sampler.series["lot_entries"].maximum)
             result.ltt_peak_entries = int(self.sampler.series["ltt_entries"].maximum)
-        for queue in queues:
+        for queue in manager.generations:
             result.generations.append(
                 GenerationResult(
                     capacity_blocks=queue.capacity,

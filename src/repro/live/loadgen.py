@@ -265,12 +265,3 @@ class LoadGenerator:
         )
         manifest.write(path)
 
-
-def run_load(
-    host: str,
-    port: int,
-    **kwargs,
-) -> LoadReport:
-    """Synchronous convenience wrapper around :class:`LoadGenerator`."""
-    gen = LoadGenerator(host, port, **kwargs)
-    return asyncio.run(gen.run())

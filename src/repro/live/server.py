@@ -3,10 +3,12 @@
 An asyncio server that runs the existing log managers — EL, FW, or the
 sharded composition — against wall-clock time (:class:`RealTimeScheduler`)
 and real files (:class:`LiveLogStorage` + :class:`FileBackedDatabase`).
-The managers are unmodified: BEGIN/UPDATE/COMMIT/ABORT frames map 1:1 onto
-the ``LogManager`` interface, and the COMMIT response is fired from the
-same group-commit durability callback the simulator uses, so a client ack
-means the commit record has been ``fsync``\\ ed into the log.
+The managers are unmodified and built by the same
+:func:`~repro.core.build.build_manager` the simulator uses:
+BEGIN/UPDATE/COMMIT/ABORT frames map 1:1 onto the ``LogManager``
+interface, and the COMMIT response is fired from the same group-commit
+durability callback the simulator uses, so a client ack means the commit
+record has been ``fsync``\\ ed into the log.
 
 Three service-level mechanisms surround the manager:
 
@@ -17,11 +19,16 @@ Three service-level mechanisms surround the manager:
 * **Group-commit pacing** — the managers seal a log block when it fills;
   at low offered load that would leave a commit record sitting in an open
   buffer indefinitely, so while commits are pending the server drains open
-  buffers every ``group_commit_seconds`` (the paper's group commit, with a
-  deadline instead of a full block).
+  buffers every :data:`GROUP_COMMIT_SECONDS` (the paper's group commit,
+  with a deadline instead of a full block).
 * **Graceful drain** — SIGTERM (or ``--duration`` expiry) stops accepting
-  connections, rejects new BEGINs, lets in-flight transactions settle,
-  seals and syncs the log, and writes a run manifest.
+  connections, rejects new BEGINs, lets in-flight transactions settle for
+  up to :data:`DRAIN_GRACE_SECONDS`, seals and syncs the log, and writes a
+  run manifest.
+
+Every count and latency the service keeps (``server.*``, and the
+storage's ``log.*``) lives in the server's one :class:`MetricsRegistry`,
+next to the manager's own metrics.
 """
 
 from __future__ import annotations
@@ -33,8 +40,7 @@ from pathlib import Path
 from typing import Dict, Optional, Set
 
 from repro.constants import BLOCK_PAYLOAD_BYTES
-from repro.core.ephemeral import EphemeralLogManager
-from repro.core.firewall import FirewallLogManager
+from repro.core.build import build_manager
 from repro.errors import ConfigurationError, ReproError
 from repro.live import protocol
 from repro.live.clock import RealTimeScheduler
@@ -46,68 +52,53 @@ from repro.obs.metrics import Histogram, MetricsRegistry
 #: file stays trivial.
 DEFAULT_NUM_OBJECTS = 1_000_000
 
-#: Live flush drives model the stable database's disks.  Real database
-#: installs are a single pwrite (microseconds), so the simulated per-flush
-#: transfer time is an SSD-class 2 ms rather than the paper's 25 ms 1993
-#: disk — the log, not the database array, is the subsystem under test.
-DEFAULT_FLUSH_WRITE_SECONDS = 0.002
+#: Group-commit deadline: open buffers holding pending commits are sealed
+#: this often.
+GROUP_COMMIT_SECONDS = 0.005
 
+#: Flush drives modelling the stable database's disks.
+FLUSH_DRIVES = 10
 
-def build_live_manager(
-    scheduler,
-    database,
-    *,
-    technique: str = "el",
-    generation_sizes=(128, 128),
-    shards: int = 1,
-    recirculation: bool = True,
-    flush_drives: int = 10,
-    flush_write_seconds: float = DEFAULT_FLUSH_WRITE_SECONDS,
-    metrics: MetricsRegistry,
-):
-    """Construct an unmodified log manager on the live scheduler."""
-    if technique not in ("el", "fw"):
-        raise ConfigurationError(
-            f"live mode supports 'el' and 'fw', got {technique!r}"
-        )
-    common = dict(
-        flush_drives=flush_drives,
-        flush_write_seconds=flush_write_seconds,
-        metrics=metrics,
-    )
-    if shards > 1:
-        from repro.core.sharded import ShardedLogManager
+#: Simulated per-flush transfer time.  Real database installs are a single
+#: pwrite (microseconds), so this is an SSD-class 2 ms rather than the
+#: paper's 25 ms 1993 disk — the log, not the database array, is the
+#: subsystem under test.
+FLUSH_WRITE_SECONDS = 0.002
 
-        return ShardedLogManager(
-            scheduler,
-            database,
-            shard_count=shards,
-            technique=technique,
-            generation_sizes=tuple(generation_sizes),
-            recirculation=recirculation and technique == "el",
-            **common,
-        )
-    if technique == "fw":
-        return FirewallLogManager(
-            scheduler, database, log_blocks=generation_sizes[0], **common
-        )
-    return EphemeralLogManager(
-        scheduler,
-        database,
-        generation_sizes=tuple(generation_sizes),
-        recirculation=recirculation,
-        **common,
-    )
+#: How long a drain waits for in-flight transactions, and then for the
+#: queued log writes, before it gives up on them.
+DRAIN_GRACE_SECONDS = 10.0
+
+#: The service's own metrics; :meth:`LiveServer.counters` and the
+#: manifest's counter block report exactly these.
+SERVICE_METRICS = (
+    "server.begins",
+    "server.commits_acked",
+    "server.aborts",
+    "server.kills",
+    "server.rejections",
+    "server.protocol_errors",
+    "server.internal_errors",
+    "server.commit_latency",
+    "log.blocks_written",
+    "log.bytes_written",
+    "log.fsyncs",
+    "log.write_latency",
+)
 
 
 class _LiveTx:
     """Server-side state for one in-flight transaction."""
 
-    __slots__ = ("tid", "writer", "killed", "commit_pending", "released")
+    __slots__ = ("tid", "writer", "conn_tids", "killed", "commit_pending", "released")
 
-    def __init__(self, tid: int, writer: asyncio.StreamWriter):
+    def __init__(
+        self, tid: int, writer: asyncio.StreamWriter, conn_tids: Set[int]
+    ):
         self.tid = tid
         self.writer = writer
+        #: The owning connection's unresolved tids (this one included).
+        self.conn_tids = conn_tids
         self.killed = False
         self.commit_pending = False
         self.released = False
@@ -123,39 +114,23 @@ class LiveServer:
         technique: str = "el",
         generation_sizes=(128, 128),
         shards: int = 1,
-        recirculation: bool = True,
         host: str = "127.0.0.1",
         port: int = 0,
         num_objects: int = DEFAULT_NUM_OBJECTS,
         max_inflight: int = 256,
-        group_commit_seconds: float = 0.005,
-        flush_drives: int = 10,
-        flush_write_seconds: float = DEFAULT_FLUSH_WRITE_SECONDS,
-        fsync: bool = True,
-        drain_grace_seconds: float = 10.0,
     ):
         if max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        if group_commit_seconds <= 0:
-            raise ConfigurationError(
-                f"group_commit_seconds must be positive, got {group_commit_seconds}"
-            )
         self.log_dir = Path(log_dir)
         self.technique = technique
         self.generation_sizes = tuple(generation_sizes)
         self.shards = shards
-        self.recirculation = recirculation
         self.host = host
         self.port = port
         self.num_objects = num_objects
         self.max_inflight = max_inflight
-        self.group_commit_seconds = group_commit_seconds
-        self.flush_drives = flush_drives
-        self.flush_write_seconds = flush_write_seconds
-        self.fsync = fsync
-        self.drain_grace_seconds = drain_grace_seconds
 
         self.metrics = MetricsRegistry(enabled=True)
         self.scheduler: Optional[RealTimeScheduler] = None
@@ -174,43 +149,62 @@ class LiveServer:
         self._shutdown = asyncio.Event()
         self._stopped = asyncio.Event()
 
-        # Service counters (also exported into the manifest).
-        self.begins = 0
-        self.commits_acked = 0
-        self.aborts = 0
-        self.kills_observed = 0
-        self.rejections = 0
-        self.protocol_errors = 0
-        self.internal_errors = 0
-        self.commit_latency = Histogram("server.commit_latency")
+        metrics = self.metrics
+        self._begins = metrics.counter("server.begins")
+        self._commits_acked = metrics.counter("server.commits_acked")
+        self._aborts = metrics.counter("server.aborts")
+        self._kills = metrics.counter("server.kills")
+        self._rejections = metrics.counter("server.rejections")
+        self._protocol_errors = metrics.counter("server.protocol_errors")
+        self._internal_errors = metrics.counter("server.internal_errors")
+        self._commit_latency = metrics.histogram("server.commit_latency")
+
+    @property
+    def commits_acked(self) -> int:
+        return self._commits_acked.value
+
+    @property
+    def aborts(self) -> int:
+        return self._aborts.value
+
+    @property
+    def kills_observed(self) -> int:
+        return self._kills.value
+
+    @property
+    def rejections(self) -> int:
+        return self._rejections.value
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Build the manager + storage and start listening."""
+        if self.technique not in ("el", "fw"):
+            raise ConfigurationError(
+                f"live mode supports 'el' and 'fw', got {self.technique!r}"
+            )
         loop = asyncio.get_running_loop()
         self.scheduler = RealTimeScheduler(loop)
         self.log_dir.mkdir(parents=True, exist_ok=True)
         self.database = FileBackedDatabase(
             self.log_dir / "db.dat", self.num_objects
         )
-        self.manager = build_live_manager(
+        self.manager = build_manager(
             self.scheduler,
             self.database,
             technique=self.technique,
             generation_sizes=self.generation_sizes,
             shards=self.shards,
-            recirculation=self.recirculation,
-            flush_drives=self.flush_drives,
-            flush_write_seconds=self.flush_write_seconds,
+            flush_drives=FLUSH_DRIVES,
+            flush_write_seconds=FLUSH_WRITE_SECONDS,
             metrics=self.metrics,
         )
         self.manager.on_kill = self._handle_kill
-        self.storage = LiveLogStorage(
-            self.log_dir, self.scheduler, fsync=self.fsync
+        self.storage = LiveLogStorage(self.log_dir, self.scheduler, self.metrics)
+        self.storage.attach(
+            self.manager.shards if self.shards > 1 else [self.manager]
         )
-        self.storage.attach(self.manager)
         self._admission = asyncio.Semaphore(self.max_inflight)
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
@@ -248,23 +242,17 @@ class LiveServer:
         # Let in-flight transactions settle: keep the group-commit pacer
         # logic running by draining open buffers until every pending commit
         # has acked (or the grace period expires).
-        deadline = self.scheduler.now + self.drain_grace_seconds
+        deadline = self.scheduler.now + DRAIN_GRACE_SECONDS
         while self._unsettled() and self.scheduler.now < deadline:
             self.manager.drain()
             await asyncio.sleep(0.02)
         # Abort whatever is still active (client went quiet); pending
         # commits past the grace period are left to recovery.
         for tx in list(self._txes.values()):
-            if not tx.commit_pending and not tx.killed:
-                try:
-                    self.manager.abort(tx.tid)
-                    self.aborts += 1
-                except ReproError:
-                    pass
-            self._finish(tx)
+            self._release_abandoned(tx)
         self.manager.drain()
         # Wait for every queued log write to reach the disk.
-        io_deadline = self.scheduler.now + self.drain_grace_seconds
+        io_deadline = self.scheduler.now + DRAIN_GRACE_SECONDS
         while self.storage.writes_pending and self.scheduler.now < io_deadline:
             await asyncio.sleep(0.01)
         for writer in list(self._writers):
@@ -290,13 +278,11 @@ class LiveServer:
                 "technique": self.technique,
                 "generation_sizes": list(self.generation_sizes),
                 "shards": self.shards,
-                "recirculation": self.recirculation,
                 "num_objects": self.num_objects,
                 "max_inflight": self.max_inflight,
-                "group_commit_seconds": self.group_commit_seconds,
-                "flush_drives": self.flush_drives,
-                "flush_write_seconds": self.flush_write_seconds,
-                "fsync": self.fsync,
+                "group_commit_seconds": GROUP_COMMIT_SECONDS,
+                "flush_drives": FLUSH_DRIVES,
+                "flush_write_seconds": FLUSH_WRITE_SECONDS,
             },
             sim=self.scheduler.snapshot(),
             counters=self.counters(),
@@ -306,18 +292,13 @@ class LiveServer:
         manifest.write(self.log_dir / "server-manifest.json")
 
     def counters(self) -> dict:
-        counters = {
-            "server.begins": self.begins,
-            "server.commits_acked": self.commits_acked,
-            "server.aborts": self.aborts,
-            "server.kills": self.kills_observed,
-            "server.rejections": self.rejections,
-            "server.protocol_errors": self.protocol_errors,
-            "server.internal_errors": self.internal_errors,
-        }
-        counters.update(self.storage.counters())
-        counters["server.commit_latency"] = self.commit_latency.snapshot()
-        counters["log.write_latency"] = self.storage.write_latency().snapshot()
+        """The :data:`SERVICE_METRICS`: counts, and histogram snapshots."""
+        counters = {}
+        for name in SERVICE_METRICS:
+            metric = self.metrics.get(name)
+            counters[name] = (
+                metric.snapshot() if isinstance(metric, Histogram) else metric.value
+            )
         return counters
 
     # ------------------------------------------------------------------
@@ -336,7 +317,7 @@ class LiveServer:
                 await self._dispatch(body, writer, conn_tids)
                 await writer.drain()
         except protocol.ProtocolError:
-            self.protocol_errors += 1
+            self._protocol_errors.inc()
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
         finally:
@@ -345,21 +326,26 @@ class LiveServer:
             writer.close()
 
     def _abandon(self, conn_tids: Set[int]) -> None:
-        """Client went away: abort its still-active transactions."""
-        for tid in conn_tids:
-            tx = self._txes.get(tid)
-            if tx is None:
-                continue
-            if not tx.commit_pending and not tx.killed:
-                try:
-                    self.manager.abort(tid)
-                    self.aborts += 1
-                except ReproError:
-                    self.internal_errors += 1
-                self._finish(tx)
-            # Pending commits stay registered: the durability callback will
-            # still fire and settle the transaction (the ack just has no
-            # reader anymore).
+        """Client went away: release its unresolved transactions.
+
+        Pending commits stay registered: the durability callback will
+        still fire and settle the transaction (the ack just has no reader
+        anymore).
+        """
+        for tid in list(conn_tids):
+            tx = self._txes[tid]
+            if not tx.commit_pending:
+                self._release_abandoned(tx)
+
+    def _release_abandoned(self, tx: _LiveTx) -> None:
+        """Abort ``tx`` if it is still active, then release it."""
+        if not tx.commit_pending and not tx.killed:
+            try:
+                self.manager.abort(tx.tid)
+                self._aborts.inc()
+            except ReproError:
+                self._refused(tx)
+        self._finish(tx)
 
     async def _dispatch(
         self,
@@ -382,7 +368,7 @@ class LiveServer:
         self, client_ref: int, writer: asyncio.StreamWriter, conn_tids: Set[int]
     ) -> None:
         if self._draining:
-            self.rejections += 1
+            self._rejections.inc()
             protocol.write_frame(
                 writer,
                 protocol.encode_begin_ok(protocol.STATUS_REJECTED, client_ref, 0),
@@ -393,7 +379,7 @@ class LiveServer:
         await self._admission.acquire()
         if self._draining:
             self._admission.release()
-            self.rejections += 1
+            self._rejections.inc()
             protocol.write_frame(
                 writer,
                 protocol.encode_begin_ok(protocol.STATUS_REJECTED, client_ref, 0),
@@ -404,15 +390,14 @@ class LiveServer:
             self.manager.begin(tid)
         except ReproError:
             self._admission.release()
-            self.internal_errors += 1
             protocol.write_frame(
                 writer,
-                protocol.encode_begin_ok(protocol.STATUS_ERROR, client_ref, 0),
+                protocol.encode_begin_ok(self._refused(None), client_ref, 0),
             )
             return
-        self._txes[tid] = _LiveTx(tid, writer)
+        self._txes[tid] = _LiveTx(tid, writer, conn_tids)
         conn_tids.add(tid)
-        self.begins += 1
+        self._begins.inc()
         protocol.write_frame(
             writer, protocol.encode_begin_ok(protocol.STATUS_OK, client_ref, tid)
         )
@@ -427,30 +412,25 @@ class LiveServer:
             )
             return
         if not 0 <= oid < self.num_objects or not 0 < size <= BLOCK_PAYLOAD_BYTES:
-            self.internal_errors += 1
+            self._internal_errors.inc()
             protocol.write_frame(
                 writer,
                 protocol.encode_update_ok(protocol.STATUS_ERROR, tid, 0, 0.0),
             )
             return
         try:
-            lsn = self.manager.log_update(tid, oid, value, size)
+            record = self.manager.log_update(tid, oid, value, size)
         except ReproError:
-            status = (
-                protocol.STATUS_KILLED if tx.killed else protocol.STATUS_ERROR
-            )
-            if status == protocol.STATUS_ERROR:
-                self.internal_errors += 1
-            if tx.killed:
-                self._txes.pop(tid, None)
             protocol.write_frame(
-                writer, protocol.encode_update_ok(status, tid, 0, 0.0)
+                writer, protocol.encode_update_ok(self._refused(tx), tid, 0, 0.0)
             )
             return
-        timestamp = self._record_timestamp(tid, oid, lsn)
+        # The appended record's own timestamp: what recovery reads back.
         protocol.write_frame(
             writer,
-            protocol.encode_update_ok(protocol.STATUS_OK, tid, lsn, timestamp),
+            protocol.encode_update_ok(
+                protocol.STATUS_OK, tid, record.lsn, record.timestamp
+            ),
         )
 
     def _do_commit(self, tid: int, writer: asyncio.StreamWriter) -> None:
@@ -465,8 +445,8 @@ class LiveServer:
 
         def on_ack(acked_tid: int, ack_time: float) -> None:
             self._commits_pending -= 1
-            self.commits_acked += 1
-            self.commit_latency.observe(ack_time - requested_at)
+            self._commits_acked.inc()
+            self._commit_latency.observe(ack_time - requested_at)
             self._finish(tx)
             if not tx.writer.is_closing():
                 protocol.write_frame(
@@ -479,15 +459,8 @@ class LiveServer:
         try:
             self.manager.request_commit(tid, on_ack)
         except ReproError:
-            status = (
-                protocol.STATUS_KILLED if tx.killed else protocol.STATUS_ERROR
-            )
-            if status == protocol.STATUS_ERROR:
-                self.internal_errors += 1
-            if tx.killed:
-                self._txes.pop(tid, None)
             protocol.write_frame(
-                writer, protocol.encode_commit_ok(status, tid, 0.0)
+                writer, protocol.encode_commit_ok(self._refused(tx), tid, 0.0)
             )
             return
         tx.commit_pending = True
@@ -503,12 +476,11 @@ class LiveServer:
         try:
             self.manager.abort(tid)
         except ReproError:
-            self.internal_errors += 1
             protocol.write_frame(
-                writer, protocol.encode_abort_ok(protocol.STATUS_ERROR, tid)
+                writer, protocol.encode_abort_ok(self._refused(tx), tid)
             )
             return
-        self.aborts += 1
+        self._aborts.inc()
         self._finish(tx)
         protocol.write_frame(
             writer, protocol.encode_abort_ok(protocol.STATUS_OK, tid)
@@ -519,14 +491,28 @@ class LiveServer:
         if tx is None:
             return protocol.STATUS_ERROR
         if tx.killed:
-            self._txes.pop(tx.tid, None)
+            self._finish(tx)
             return protocol.STATUS_KILLED
         if tx.commit_pending:
             return protocol.STATUS_ERROR
         return None
 
+    def _refused(self, tx: Optional[_LiveTx]) -> int:
+        """The manager rejected a call for ``tx``: the status to answer.
+
+        A kill during the call explains it (the transaction is over);
+        anything else counts as an internal error.
+        """
+        if tx is not None and tx.killed:
+            self._finish(tx)
+            return protocol.STATUS_KILLED
+        self._internal_errors.inc()
+        return protocol.STATUS_ERROR
+
     def _finish(self, tx: _LiveTx) -> None:
+        """Forget ``tx`` (idempotent) and free its admission slot."""
         self._txes.pop(tx.tid, None)
+        tx.conn_tids.discard(tx.tid)
         if not tx.released:
             tx.released = True
             self._admission.release()
@@ -536,7 +522,7 @@ class LiveServer:
     # ------------------------------------------------------------------
     def _handle_kill(self, tid: int, _time: float) -> None:
         """The manager killed a transaction to reclaim log space."""
-        self.kills_observed += 1
+        self._kills.inc()
         tx = self._txes.get(tid)
         if tx is None:
             return
@@ -547,23 +533,10 @@ class LiveServer:
             tx.released = True
             self._admission.release()
 
-    def _record_timestamp(self, tid: int, oid: int, lsn: int) -> float:
-        """The appended record's exact timestamp (what recovery reads back)."""
-        manager = self.manager
-        shards = getattr(manager, "_shards", None)
-        if shards is not None:
-            manager = shards[manager.router.drive_of(oid)]
-        entry = manager.lot.get(oid)
-        if entry is not None:
-            cell = entry.uncommitted_cells.get(tid)
-            if cell is not None and cell.record.lsn == lsn:
-                return cell.record.timestamp
-        return self.scheduler.now  # pragma: no cover - defensive fallback
-
     def _arm_pacer(self) -> None:
         if self._pacer is None and self._commits_pending > 0:
             self._pacer = self.scheduler.after(
-                self.group_commit_seconds, self._pacer_tick
+                GROUP_COMMIT_SECONDS, self._pacer_tick
             )
 
     def _pacer_tick(self) -> None:

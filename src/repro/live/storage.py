@@ -17,14 +17,18 @@ header carries a CRC32 over the payload, so torn or partial writes are
 detected on read-back exactly like the simulator's checksum-failed blocks.
 
 Durability model: log writes are ``os.pwrite`` + ``fsync`` batched on a
-bounded thread pool — one fsync covers every block queued behind it (group
-fsync coalescing).  Database installs are a synchronous ``pwrite`` of a
-fixed 32-byte object slot with *no* fsync on the hot path: a page-cache
-write survives process death (SIGKILL), which is the crash model the
-recovery acceptance test exercises; ``flush()``/``close()`` fsync for
-power-loss hygiene.  The correctness ordering is inherited from the flush
-scheduler: an update's log record is only garbage-collected *after*
-``StableDatabase.install`` returns, i.e. after the pwrite.
+bounded thread pool of :data:`IO_WORKERS` threads — one fsync covers every
+block queued behind it (group fsync coalescing).  fsync is always on.
+Every drive counts into the server's one metrics registry
+(``log.blocks_written``, ``log.bytes_written``, ``log.fsyncs`` and the
+``log.write_latency`` histogram), from the event-loop thread only.
+Database installs are a synchronous ``pwrite`` of a fixed 32-byte object
+slot with *no* fsync on the hot path: a page-cache write survives process
+death (SIGKILL), which is the crash model the recovery acceptance test
+exercises; ``flush()``/``close()`` fsync for power-loss hygiene.  The
+correctness ordering is inherited from the flush scheduler: an update's
+log record is only garbage-collected *after* ``StableDatabase.install``
+returns, i.e. after the pwrite.
 """
 
 from __future__ import annotations
@@ -36,14 +40,14 @@ import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.constants import BLOCK_PAYLOAD_BYTES
 from repro.db.database import StableDatabase
 from repro.db.objects import ObjectVersion
 from repro.disk.block import BlockAddress, BlockImage
 from repro.errors import ConfigurationError, RecordIntegrityError
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import MetricsRegistry
 from repro.records.encoding import RecordCodec
 
 # ----------------------------------------------------------------------
@@ -66,6 +70,9 @@ _FORMAT_VERSION = 1
 _NO_LSN = 0xFFFF_FFFF_FFFF_FFFF
 
 _codec = RecordCodec()
+
+#: Worker threads shared by all of a server's log drives.
+IO_WORKERS = 4
 
 
 def encode_slot(image: BlockImage, *, shard: int, generation: int) -> bytes:
@@ -199,9 +206,9 @@ class FileBackedDrive:
         capacity_blocks: int,
         *,
         executor: ThreadPoolExecutor,
+        metrics: MetricsRegistry,
         shard: int = 0,
         generation: int = 0,
-        fsync: bool = True,
     ):
         if capacity_blocks < 1:
             raise ConfigurationError(
@@ -212,7 +219,6 @@ class FileBackedDrive:
         self.capacity_blocks = capacity_blocks
         self.shard = shard
         self.generation = generation
-        self.fsync_enabled = fsync
         self._executor = executor
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fd = os.open(
@@ -225,11 +231,11 @@ class FileBackedDrive:
         self._pending: deque = deque()  # (offset, payload, on_durable, t0)
         self._pump_scheduled = False
 
-        # Stats (loop thread, except fsyncs which the single pump owns).
-        self.blocks_written = 0
-        self.bytes_written = 0
-        self.fsyncs = 0
-        self.write_latency = Histogram("log.write_latency")
+        # Shared by every drive of the registry; touched on the loop thread.
+        self._m_blocks = metrics.counter("log.blocks_written")
+        self._m_bytes = metrics.counter("log.bytes_written")
+        self._m_fsyncs = metrics.counter("log.fsyncs")
+        self._m_latency = metrics.histogram("log.write_latency")
 
     def write_block(self, image: BlockImage, on_durable: Callable[[], None]) -> None:
         """Persist a sealed block image; fire ``on_durable`` once on disk."""
@@ -241,8 +247,8 @@ class FileBackedDrive:
                 f"slot {slot} outside drive capacity {self.capacity_blocks}"
             )
         payload = encode_slot(image, shard=self.shard, generation=self.generation)
-        self.blocks_written += 1
-        self.bytes_written += len(payload)
+        self._m_blocks.inc()
+        self._m_bytes.inc(len(payload))
         entry = (slot * SLOT_BYTES, payload, on_durable, self.scheduler.now)
         with self._lock:
             self._pending.append(entry)
@@ -266,31 +272,27 @@ class FileBackedDrive:
                 self._pending.clear()
             for offset, payload, _cb, _t0 in batch:
                 os.pwrite(self._fd, payload, offset)
-            if self.fsync_enabled:
-                os.fsync(self._fd)
-            self.fsyncs += 1
+            os.fsync(self._fd)
             self.scheduler.post(self._complete, batch)
 
     def _complete(self, batch) -> None:
-        """Loop thread: observe latency, then run durability callbacks."""
+        """Loop thread: count the batch's fsync, observe latency, then run
+        the durability callbacks."""
+        self._m_fsyncs.inc()
         now = self.scheduler.now
         for _offset, _payload, on_durable, t0 in batch:
-            self.write_latency.observe(now - t0)
+            self._m_latency.observe(now - t0)
             on_durable()
 
     def close(self) -> None:
         """Close the file descriptor (pending writes must be drained first)."""
         if not self._closed:
             self._closed = True
-            if self.fsync_enabled:
-                os.fsync(self._fd)
+            os.fsync(self._fd)
             os.close(self._fd)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<FileBackedDrive {self.path.name} blocks={self.blocks_written} "
-            f"fsyncs={self.fsyncs}>"
-        )
+        return f"<FileBackedDrive {self.path.name} blocks={self.capacity_blocks}>"
 
 
 class LiveLogStorage:
@@ -298,56 +300,43 @@ class LiveLogStorage:
 
     One ``FileBackedDrive`` per generation, named ``gen{g}.log`` (or
     ``shard{s}-gen{g}.log`` behind a :class:`ShardedLogManager`), all
-    sharing one bounded thread pool.  Detach-free: drives live as long as
-    the storage object.
+    sharing one bounded thread pool and counting into ``metrics``.
+    Detach-free: drives live as long as the storage object.
     """
 
-    def __init__(self, directory, scheduler, *, max_workers: int = 4, fsync: bool = True):
+    def __init__(self, directory, scheduler, metrics: MetricsRegistry):
         self.directory = Path(directory)
         self.scheduler = scheduler
-        self.fsync_enabled = fsync
+        self.metrics = metrics
         self.executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="log-io"
+            max_workers=IO_WORKERS, thread_name_prefix="log-io"
         )
         self.drives: List[FileBackedDrive] = []
 
-    def attach(self, manager) -> None:
-        """Install drives on every generation of ``manager`` (any shape)."""
-        shards = getattr(manager, "_shards", None)
-        if shards is None:
-            self._attach_single(manager, shard=0, prefix="")
-        else:
-            for index, shard in enumerate(shards):
-                self._attach_single(shard, shard=index, prefix=f"shard{index}-")
+    def attach(self, shards: Sequence) -> None:
+        """Install drives on every generation of each shard's manager.
 
-    def _attach_single(self, manager, *, shard: int, prefix: str) -> None:
-        for generation in manager.generations:
-            drive = FileBackedDrive(
-                self.scheduler,
-                self.directory / f"{prefix}gen{generation.index}.log",
-                generation.array.capacity,
-                executor=self.executor,
-                shard=shard,
-                generation=generation.index,
-                fsync=self.fsync_enabled,
-            )
-            generation.store = drive
-            self.drives.append(drive)
+        A lone manager writes ``gen{g}.log``; with several, shard *s*
+        writes ``shard{s}-gen{g}.log``.
+        """
+        for index, manager in enumerate(shards):
+            prefix = f"shard{index}-" if len(shards) > 1 else ""
+            for generation in manager.generations:
+                drive = FileBackedDrive(
+                    self.scheduler,
+                    self.directory / f"{prefix}gen{generation.index}.log",
+                    generation.array.capacity,
+                    executor=self.executor,
+                    metrics=self.metrics,
+                    shard=index,
+                    generation=generation.index,
+                )
+                generation.store = drive
+                self.drives.append(drive)
 
     @property
     def writes_pending(self) -> int:
         return sum(drive.writes_pending for drive in self.drives)
-
-    def write_latency(self) -> Histogram:
-        """Merged write-latency distribution across all drives."""
-        return Histogram.merged(d.write_latency for d in self.drives)
-
-    def counters(self) -> Dict[str, int]:
-        return {
-            "log.blocks_written": sum(d.blocks_written for d in self.drives),
-            "log.bytes_written": sum(d.bytes_written for d in self.drives),
-            "log.fsyncs": sum(d.fsyncs for d in self.drives),
-        }
 
     def close(self) -> None:
         self.executor.shutdown(wait=True)

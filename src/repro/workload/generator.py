@@ -156,10 +156,12 @@ class WorkloadGenerator:
             return
         oid = self.oid_chooser.acquire()
         value = next(self._next_value)
-        lsn = self.manager.log_update(run.tid, oid, value, run.tx_type.record_bytes)
+        record = self.manager.log_update(
+            run.tid, oid, value, run.tx_type.record_bytes
+        )
         run.oids.append(oid)
         run.updates.append((oid, value, self.sim.now))
-        run.update_lsns.append(lsn)
+        run.update_lsns.append(record.lsn)
         self.stats.updates_written += 1
 
     def _request_commit(self, run: TransactionRun) -> None:

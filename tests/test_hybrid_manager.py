@@ -40,7 +40,7 @@ class HybridHarness:
 
     def commit_and_settle(self, tid: int) -> None:
         self.manager.request_commit(tid, lambda t, when: self.acks.append(t))
-        for queue in self.manager.queues:
+        for queue in self.manager.generations:
             queue.seal_open_buffers()
         self.sim.run_until(self.sim.now + 1.0)
 
@@ -135,6 +135,6 @@ class TestRegeneration:
             if i % 4 == 3:
                 harness.sim.run_until(harness.sim.now + 0.05)
         manager = harness.manager
-        appended = sum(q.records_appended for q in manager.queues)
+        appended = sum(q.records_appended for q in manager.generations)
         assert appended == manager.fresh_records + manager.regenerated_records
         assert manager.regenerated_records >= 5  # the long tx moved wholesale

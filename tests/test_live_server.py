@@ -24,7 +24,7 @@ import repro
 from repro.errors import ConfigurationError
 from repro.live import protocol
 from repro.live.loadgen import LoadGenerator
-from repro.live.server import LiveServer
+from repro.live.server import DEFAULT_NUM_OBJECTS, LiveServer
 from repro.live.storage import FileBackedDatabase, read_log_directory
 from repro.recovery.analyzer import LogScan
 from repro.recovery.single_pass import SinglePassRecovery
@@ -39,43 +39,96 @@ async def _call(reader, writer, request):
     return protocol.decode_response(body)
 
 
-async def _run_transactions(host, port, count, updates_per_tx=2, base_oid=0):
-    """Run ``count`` sequential transactions; return acked commit info."""
+async def _run_transactions(
+    host, port, count, updates_per_tx=2, base_oid=0, shard_width=0
+):
+    """Run ``count`` sequential transactions; return acked commit info.
+
+    With ``shard_width`` set, every other update of a transaction lands
+    that many objects further on (in the next shard's oid range).
+    """
     reader, writer = await asyncio.open_connection(host, port)
+    try:
+        return await _transact(
+            reader, writer, count, updates_per_tx, base_oid, shard_width
+        )
+    finally:
+        writer.close()
+
+
+async def _transact(reader, writer, count, updates_per_tx, base_oid, shard_width=0):
+    """``count`` sequential transactions on one open connection."""
     acked = []  # (tid, [(oid, value, timestamp, lsn), ...], ack_time)
     oid = base_oid
     value = base_oid * 1000
-    try:
-        for _ in range(count):
-            op, status, _, tid = await _call(
-                reader, writer, protocol.encode_begin(1)
-            )
-            assert (op, status) == (protocol.OP_BEGIN, protocol.STATUS_OK)
-            updates = []
-            for _ in range(updates_per_tx):
-                oid += 1
-                value += 1
-                op, status, rtid, lsn, timestamp = await _call(
-                    reader, writer, protocol.encode_update(tid, oid, value, 100)
-                )
-                assert (op, status, rtid) == (
-                    protocol.OP_UPDATE,
-                    protocol.STATUS_OK,
-                    tid,
-                )
-                updates.append((oid, value, timestamp, lsn))
-            op, status, rtid, ack_time = await _call(
-                reader, writer, protocol.encode_commit(tid)
+    for _ in range(count):
+        op, status, _, tid = await _call(
+            reader, writer, protocol.encode_begin(1)
+        )
+        assert (op, status) == (protocol.OP_BEGIN, protocol.STATUS_OK)
+        updates = []
+        for index in range(updates_per_tx):
+            oid += 1
+            value += 1
+            target = oid + (index % 2) * shard_width
+            op, status, rtid, lsn, timestamp = await _call(
+                reader, writer, protocol.encode_update(tid, target, value, 100)
             )
             assert (op, status, rtid) == (
-                protocol.OP_COMMIT,
+                protocol.OP_UPDATE,
                 protocol.STATUS_OK,
                 tid,
             )
-            acked.append((tid, updates, ack_time))
-    finally:
-        writer.close()
+            updates.append((target, value, timestamp, lsn))
+        op, status, rtid, ack_time = await _call(
+            reader, writer, protocol.encode_commit(tid)
+        )
+        assert (op, status, rtid) == (
+            protocol.OP_COMMIT,
+            protocol.STATUS_OK,
+            tid,
+        )
+        acked.append((tid, updates, ack_time))
     return acked
+
+
+async def _serve_clients(server, clients):
+    """Run ``server``, await ``clients(server)``, drain; their result."""
+    run_task = asyncio.ensure_future(server.run())
+    while server._server is None:
+        await asyncio.sleep(0.01)
+    try:
+        return await clients(server)
+    finally:
+        await server.stop()
+        await run_task
+
+
+def _assert_acks_durable_and_recovered(log_dir, acked):
+    """LogScan finds every acked COMMIT; recovery loses and invents nothing."""
+    from repro.workload.generator import AckedUpdate
+
+    images = read_log_directory(log_dir)
+    assert images and not any(i.unreadable for i in images)
+    scan = LogScan(images)
+    assert {tid for tid, _, _ in acked} <= scan.committed_tids
+    on_disk = {(r.oid, r.lsn) for r in scan.committed_data_records()}
+    for _tid, updates, _ack_time in acked:
+        for oid, _value, _timestamp, lsn in updates:
+            assert (oid, lsn) in on_disk
+
+    truth = [
+        AckedUpdate(oid, value, timestamp, lsn, ack_time)
+        for _tid, updates, ack_time in acked
+        for oid, value, timestamp, lsn in updates
+    ]
+    stable = FileBackedDatabase.load_snapshot(log_dir / "db.dat")
+    recovery = SinglePassRecovery(images)
+    recovered = recovery.recover(stable)
+    report = RecoveryVerifier(truth).check_crash_consistency(
+        float("inf"), recovered, scan=recovery.scan, stable=stable
+    )
+    assert report.ok, (report.lost_updates[:3], report.phantom_objects[:3])
 
 
 async def _load_in_process(log_dir, technique, duration, target_tps, connections):
@@ -101,11 +154,7 @@ class TestServerIntegration:
     def test_every_acked_commit_is_on_disk_after_shutdown(self, tmp_path):
         """200 transactions; LogScan must prove every acked COMMIT durable."""
 
-        async def scenario():
-            server = LiveServer(tmp_path, technique="el")
-            run_task = asyncio.ensure_future(server.run())
-            while server._server is None:
-                await asyncio.sleep(0.01)
+        async def clients(server):
             assert server.port != 0  # ephemeral port was assigned
             results = await asyncio.gather(
                 *(
@@ -115,39 +164,47 @@ class TestServerIntegration:
                     for i in range(4)
                 )
             )
-            await server.stop()
-            await run_task
-            return server, [tx for chunk in results for tx in chunk]
+            return [tx for chunk in results for tx in chunk]
 
-        server, acked = asyncio.run(scenario())
+        server = LiveServer(tmp_path, technique="el")
+        acked = asyncio.run(_serve_clients(server, clients))
         assert len(acked) == 200
         assert server.commits_acked == 200
-
-        images = read_log_directory(tmp_path)
-        assert images and not any(i.unreadable for i in images)
-        scan = LogScan(images)
-        acked_tids = {tid for tid, _, _ in acked}
-        assert acked_tids <= scan.committed_tids
-        on_disk = {(r.oid, r.lsn) for r in scan.committed_data_records()}
-        for _tid, updates, _ack_time in acked:
-            for oid, _value, _timestamp, lsn in updates:
-                assert (oid, lsn) in on_disk
-
         # And recovery over those same files reproduces every acked value.
-        from repro.workload.generator import AckedUpdate
+        _assert_acks_durable_and_recovered(tmp_path, acked)
 
-        truth = [
-            AckedUpdate(oid, value, timestamp, lsn, ack_time)
-            for _tid, updates, ack_time in acked
-            for oid, value, timestamp, lsn in updates
-        ]
-        stable = FileBackedDatabase.load_snapshot(tmp_path / "db.dat")
-        recovery = SinglePassRecovery(images)
-        recovered = recovery.recover(stable)
-        report = RecoveryVerifier(truth).check_crash_consistency(
-            float("inf"), recovered, scan=recovery.scan, stable=stable
-        )
-        assert report.ok, (report.lost_updates[:3], report.phantom_objects[:3])
+    @pytest.mark.parametrize("technique", ["el", "fw"])
+    def test_sharded_server_acks_cross_shard_commits_durably(
+        self, tmp_path, technique
+    ):
+        """Two shards; every transaction updates both shards' oid ranges."""
+        shard_width = DEFAULT_NUM_OBJECTS // 2
+
+        async def clients(server):
+            results = await asyncio.gather(
+                *(
+                    _run_transactions(
+                        server.host,
+                        server.port,
+                        50,
+                        base_oid=i * 10_000,
+                        shard_width=shard_width,
+                    )
+                    for i in range(4)
+                )
+            )
+            return [tx for chunk in results for tx in chunk]
+
+        server = LiveServer(tmp_path, technique=technique, shards=2)
+        acked = asyncio.run(_serve_clients(server, clients))
+        assert len(acked) == 200
+        assert server.commits_acked == 200
+        assert server.manager.cross_shard_commits == 200
+        assert {p.name for p in tmp_path.glob("*.log")} >= {
+            "shard0-gen0.log",
+            "shard1-gen0.log",
+        }
+        _assert_acks_durable_and_recovered(tmp_path, acked)
 
     def test_loadgen_against_live_server(self, tmp_path):
         """The closed-loop generator commits cleanly against a live server."""
@@ -240,6 +297,39 @@ class TestServerIntegration:
         assert server.aborts == 1
         assert not server._txes
 
+    def test_killed_transaction_is_released_when_its_client_leaves(
+        self, tmp_path
+    ):
+        """A killed, abandoned tid leaves the server; connections track
+        only their unresolved tids."""
+
+        async def clients(server):
+            quiet = await asyncio.open_connection(server.host, server.port)
+            _, _, _, quiet_tid = await _call(*quiet, protocol.encode_begin(1))
+            await _call(*quiet, protocol.encode_update(quiet_tid, 1, 1, 100))
+            # The quiet transaction's BEGIN is the firewall of a 4-block
+            # FW log: this load has to kill it to make room.
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            await _transact(reader, writer, 60, 10, base_oid=1_000)
+            assert server.kills_observed == 1
+            _, _, _, tid = await _call(reader, writer, protocol.encode_begin(1))
+            assert server._txes[tid].conn_tids == {tid}
+            await _call(reader, writer, protocol.encode_abort(tid))
+            writer.close()
+            quiet[1].close()  # vanish without reading the KILLED status
+            await quiet[1].wait_closed()
+            for _ in range(100):
+                if quiet_tid not in server._txes:
+                    break
+                await asyncio.sleep(0.01)
+            # Checked while serving: the drain would release it anyway.
+            assert quiet_tid not in server._txes
+
+        server = LiveServer(tmp_path, technique="fw", generation_sizes=(4,))
+        asyncio.run(_serve_clients(server, clients))
+
 
 def _spawn_server(log_dir):
     """Start ``repro serve --technique el`` as a subprocess; (process, port)."""
@@ -330,8 +420,6 @@ class TestServerConfig:
     def test_rejects_bad_inflight_and_group_commit(self, tmp_path):
         with pytest.raises(ConfigurationError):
             LiveServer(tmp_path, max_inflight=0)
-        with pytest.raises(ConfigurationError):
-            LiveServer(tmp_path, group_commit_seconds=0.0)
 
     def test_rejects_unknown_technique(self, tmp_path):
         async def scenario():

@@ -23,6 +23,7 @@ from repro.live.storage import (
     read_drive_file,
     read_log_directory,
 )
+from repro.obs.metrics import MetricsRegistry
 from repro.records.data import DataLogRecord
 from repro.records.encoding import block_checksum
 from repro.records.tx import BeginRecord, CommitRecord
@@ -47,25 +48,29 @@ def sample_records(tid: int = 7, base_lsn: int = 10):
 
 
 def write_one_block(tmp_path, image, capacity: int = 4):
-    """Write ``image`` through a real drive, wait for durability, close."""
+    """Write ``image`` through a real drive, wait for durability, close.
+
+    Returns the file and the registry the drive counted into."""
     from concurrent.futures import ThreadPoolExecutor
 
     path = tmp_path / "gen0.log"
+    metrics = MetricsRegistry()
 
     async def scenario():
         sched = RealTimeScheduler(asyncio.get_running_loop())
         executor = ThreadPoolExecutor(max_workers=2)
-        drive = FileBackedDrive(sched, path, capacity, executor=executor)
+        drive = FileBackedDrive(
+            sched, path, capacity, executor=executor, metrics=metrics
+        )
         durable = asyncio.Event()
         drive.write_block(image, durable.set)
         await asyncio.wait_for(durable.wait(), timeout=5.0)
         executor.shutdown(wait=True)
         drive.close()
         sched.close()
-        return drive
 
-    drive = asyncio.run(scenario())
-    return path, drive
+    asyncio.run(scenario())
+    return path, metrics
 
 
 class TestSlotRoundTrip:
@@ -74,10 +79,10 @@ class TestSlotRoundTrip:
         image = sealed_image(2, *records)
         image.write_lsn = 13
         original_checksum = image.checksum
-        path, drive = write_one_block(tmp_path, image)
+        path, metrics = write_one_block(tmp_path, image)
 
-        assert drive.blocks_written == 1
-        assert drive.fsyncs >= 1
+        assert metrics.get("log.blocks_written").value == 1
+        assert metrics.get("log.fsyncs").value >= 1
         assert path.stat().st_size == 4 * SLOT_BYTES
 
         images = read_drive_file(path, generation=0)
@@ -137,7 +142,12 @@ class TestSlotRoundTrip:
             sched = RealTimeScheduler(asyncio.get_running_loop())
             executor = ThreadPoolExecutor(max_workers=1)
             drive = FileBackedDrive(
-                sched, tmp_path / "gen1.log", 4, executor=executor, generation=1
+                sched,
+                tmp_path / "gen1.log",
+                4,
+                executor=executor,
+                metrics=MetricsRegistry(),
+                generation=1,
             )
             durable = asyncio.Event()
             drive.write_block(image1, durable.set)
@@ -159,7 +169,11 @@ class TestFileBackedDrive:
             sched = RealTimeScheduler(asyncio.get_running_loop())
             executor = ThreadPoolExecutor(max_workers=1)
             drive = FileBackedDrive(
-                sched, tmp_path / "gen0.log", 2, executor=executor
+                sched,
+                tmp_path / "gen0.log",
+                2,
+                executor=executor,
+                metrics=MetricsRegistry(),
             )
             with pytest.raises(ConfigurationError):
                 drive.write_block(sealed_image(2, *sample_records()), lambda: None)
@@ -172,11 +186,13 @@ class TestFileBackedDrive:
     def test_batched_writes_share_fsyncs(self, tmp_path):
         from concurrent.futures import ThreadPoolExecutor
 
+        metrics = MetricsRegistry()
+
         async def scenario():
             sched = RealTimeScheduler(asyncio.get_running_loop())
             executor = ThreadPoolExecutor(max_workers=1)
             drive = FileBackedDrive(
-                sched, tmp_path / "gen0.log", 16, executor=executor
+                sched, tmp_path / "gen0.log", 16, executor=executor, metrics=metrics
             )
             remaining = 8
             done = asyncio.Event()
@@ -196,14 +212,13 @@ class TestFileBackedDrive:
             executor.shutdown(wait=True)
             drive.close()
             sched.close()
-            return drive
 
-        drive = asyncio.run(scenario())
-        assert drive.blocks_written == 8
+        asyncio.run(scenario())
+        assert metrics.get("log.blocks_written").value == 8
         # Coalescing: one pump drain fsyncs a whole batch, so 8 back-to-back
         # writes need strictly fewer than 8 data fsyncs.
-        assert drive.fsyncs < 8
-        assert drive.write_latency.count == 8
+        assert metrics.get("log.fsyncs").value < 8
+        assert metrics.get("log.write_latency").count == 8
 
 
 class TestFileBackedDatabase:

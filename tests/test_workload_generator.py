@@ -10,6 +10,7 @@ import pytest
 from repro.core.interface import LogManager
 from repro.harness.config import SimulationConfig
 from repro.harness.simulator import Simulation
+from repro.records.data import DataLogRecord
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRng
 from repro.workload.generator import WorkloadGenerator
@@ -35,7 +36,7 @@ class FakeManager(LogManager):
     def log_update(self, tid, oid, value, size):
         self._lsn += 1
         self.updates.append((tid, oid, value, size, self.sim.now))
-        return self._lsn
+        return DataLogRecord(self._lsn, tid, self.sim.now, size, oid, value)
 
     def request_commit(self, tid, on_ack):
         self.commits.append((tid, self.sim.now))
