@@ -1048,7 +1048,8 @@ class EphemeralLogManager(LogManager):
 
     def _maybe_settle(self, entry: LttEntry) -> None:
         """Retire a committed transaction once all its updates are flushed."""
-        if not entry.settled:
+        # ``entry.settled``, spelled out: this runs after every flush.
+        if entry.oids or entry.status is not TxStatus.COMMITTED:
             return
         if entry.tx_cell is not None:
             self._dispose_cell(entry.tx_cell)

@@ -16,7 +16,7 @@ standing in for disk locality).
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.db.database import StableDatabase
 from repro.db.objects import ObjectVersion
@@ -36,56 +36,67 @@ FlushCompleteCallback = Callable[[DataLogRecord], None]
 
 
 class _DrivePool:
-    """Pending flush requests for one drive, sorted by oid."""
+    """Pending flush requests for one drive, sorted by oid.
 
-    __slots__ = ("oids", "records")
+    ``span`` is the size of the drive's oid range, over which distances
+    wrap around.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("oids", "records", "span")
+
+    def __init__(self, span: int) -> None:
         self.oids: List[int] = []
         self.records: Dict[int, DataLogRecord] = {}
+        self.span = span
 
     def __len__(self) -> int:
         return len(self.oids)
 
-    def add_or_replace(self, record: DataLogRecord) -> bool:
-        """Queue ``record``; returns True if the oid was newly queued."""
-        if record.oid in self.records:
-            # A newer committed update supersedes the queued one.
-            self.records[record.oid] = record
-            return False
-        bisect.insort(self.oids, record.oid)
-        self.records[record.oid] = record
-        return True
+    def add_or_replace(self, record: DataLogRecord) -> Optional[DataLogRecord]:
+        """Queue ``record``; returns the request it superseded, if any."""
+        oid = record.oid
+        records = self.records
+        replaced = records.get(oid)
+        # A newer committed update supersedes the queued one.
+        records[oid] = record
+        if replaced is None:
+            bisect.insort(self.oids, oid)
+        return replaced
 
     def remove(self, oid: int) -> Optional[DataLogRecord]:
         record = self.records.pop(oid, None)
         if record is not None:
-            index = bisect.bisect_left(self.oids, oid)
-            del self.oids[index]
+            del self.oids[bisect.bisect_left(self.oids, oid)]
         return record
 
-    def nearest(self, position: Optional[int], span_lo: int, span_hi: int) -> int:
-        """Oid of the pending request closest to ``position`` (circularly)."""
-        if not self.oids:
+    def take_nearest(self, position: Optional[int]) -> Tuple[DataLogRecord, Optional[int]]:
+        """Remove and return the request closest to ``position``, circularly.
+
+        Returns ``(record, distance)``; ``distance`` is ``None`` when the
+        drive has no position yet (it then takes the smallest oid).
+        """
+        oids = self.oids
+        if not oids:
             raise SimulationError("drive pool is empty")
         if position is None:
-            return self.oids[0]
-        span = span_hi - span_lo
-        index = bisect.bisect_left(self.oids, position)
-        oids = self.oids
-        count = len(oids)
-        best_oid = oids[0]
-        best_distance = span + 1
-        # Candidates: neighbours of the insertion point plus the wrap-around
-        # extremes; the circular minimum must be one of these.  Ties go to
-        # the smaller oid, so duplicates and visiting order do not matter.
-        for oid in (oids[index % count], oids[index - 1], oids[0], oids[-1]):
-            diff = abs(oid - position) % span
-            distance = min(diff, span - diff)
-            if distance < best_distance or (distance == best_distance and oid < best_oid):
-                best_distance = distance
-                best_oid = oid
-        return best_oid
+            return self.records.pop(oids.pop(0)), None
+        span = self.span
+        index = bisect.bisect_left(oids, position)
+        # The circular minimum is the position's circular successor or its
+        # predecessor: any other oid is farther in both directions, so it
+        # can neither win nor tie.  Ties go to the smaller oid.
+        after = index if index < len(oids) else 0
+        before = index - 1 if index else len(oids) - 1
+        oid = oids[after]
+        diff = abs(oid - position)
+        distance = diff if diff + diff <= span else span - diff
+        other = oids[before]
+        diff = abs(other - position)
+        other_distance = diff if diff + diff <= span else span - diff
+        if other_distance < distance or (other_distance == distance and other < oid):
+            oid, distance, after = other, other_distance, before
+        del oids[after]
+        return self.records.pop(oid), distance
 
 
 class FlushScheduler:
@@ -111,8 +122,10 @@ class FlushScheduler:
             DiskDrive(sim, i, write_seconds, faults=faults)
             for i in range(drive_count)
         ]
-        self._pools = [_DrivePool() for _ in range(drive_count)]
-        self._in_service: List[Optional[int]] = [None] * drive_count
+        self._pools = [
+            _DrivePool(hi - lo)
+            for lo, hi in (partitioner.range_of(i) for i in range(drive_count))
+        ]
         self._on_flush_complete = on_flush_complete
         self.trace = trace
         self.metrics = metrics
@@ -122,8 +135,11 @@ class FlushScheduler:
         self._m_depth = metrics.gauge("flush.depth")
         self._m_seek = metrics.histogram("flush.seek_distance")
         self._m_settle = metrics.histogram("flush.settle_seconds")
-        # Submit time per queued oid, kept only while metrics are on: it
-        # feeds the settle-latency histogram (submit -> installed).
+        # Submit time per record LSN, kept only while metrics are on: it
+        # feeds the settle-latency histogram (submit -> installed).  Keyed
+        # by record, not oid, so a newer version submitted while an older
+        # one is in service gets its own sample; an entry is dropped when
+        # its record leaves the pool without being installed.
         self._measure_settle = metrics.enabled
         self._submit_times: Dict[int, float] = {}
 
@@ -131,9 +147,9 @@ class FlushScheduler:
         self.superseded_in_pool = 0
         self.demand_flushes = 0
         self.completed = 0
-        #: Queued requests over all pools, kept by :meth:`_enqueue` and
-        #: :meth:`_dequeue` (the only pool mutators) so :meth:`backlog`
-        #: is O(1).
+        #: Queued requests over all pools, kept by :meth:`_enqueue`,
+        #: :meth:`_dequeue` and :meth:`_kick` (the only pool mutators) so
+        #: :meth:`backlog` is O(1).
         self._backlog = 0
         self.peak_backlog = 0
         #: Writes whose drive exhausted its retry budget and went back to
@@ -146,13 +162,15 @@ class FlushScheduler:
     def submit(self, record: DataLogRecord) -> None:
         """Queue a committed update for flushing (replaces a stale one)."""
         drive_index = self.partitioner.drive_of(record.oid)
-        fresh = self._enqueue(drive_index, record)
+        replaced = self._enqueue(drive_index, record)
         self.submitted += 1
         self._m_submitted.inc()
-        if not fresh:
+        if replaced is not None:
             self.superseded_in_pool += 1
         if self._measure_settle:
-            self._submit_times.setdefault(record.oid, self.sim.now)
+            self._submit_times[record.lsn] = self.sim.now
+            if replaced is not None:
+                self._submit_times.pop(replaced.lsn, None)
         if self.trace.enabled:
             self.trace.emit(
                 self.sim.now,
@@ -160,11 +178,16 @@ class FlushScheduler:
                 "submit",
                 {"oid": record.oid, "drive": drive_index, "backlog": self.backlog()},
             )
-        self._kick(drive_index)
+        # A busy drive picks up its next request when its write completes.
+        if not self.drives[drive_index].busy:
+            self._kick(drive_index)
 
     def cancel(self, oid: int) -> Optional[DataLogRecord]:
         """Remove a pending request (it was demand-flushed or superseded)."""
-        return self._dequeue(self.partitioner.drive_of(oid), oid)
+        record = self._dequeue(self.partitioner.drive_of(oid), oid)
+        if record is not None:
+            self._submit_times.pop(record.lsn, None)
+        return record
 
     def demand_flush(self, record: DataLogRecord) -> None:
         """Flush ``record`` synchronously — the random-I/O head-block case.
@@ -176,9 +199,13 @@ class FlushScheduler:
         the log, not the database disks, is the bottleneck under study.
         """
         drive_index = self.partitioner.drive_of(record.oid)
-        self._dequeue(drive_index, record.oid)
+        queued = self._dequeue(drive_index, record.oid)
+        if queued is not None and queued is not record:
+            self._submit_times.pop(queued.lsn, None)
         drive = self.drives[drive_index]
-        seek = self._seek_distance(drive, record.oid)
+        seek = None
+        if drive.position is not None:
+            seek = self.partitioner.distance(drive.position, record.oid)
         drive.stats.record_write(0.0, seek)
         drive.position = record.oid
         self.demand_flushes += 1
@@ -235,96 +262,93 @@ class FlushScheduler:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _enqueue(self, drive_index: int, record: DataLogRecord) -> bool:
-        """Queue ``record`` on its drive; returns True if newly queued."""
-        fresh = self._pools[drive_index].add_or_replace(record)
-        if fresh:
-            self._set_backlog(self._backlog + 1)
-        return fresh
+    def _enqueue(self, drive_index: int, record: DataLogRecord) -> Optional[DataLogRecord]:
+        """Queue ``record`` on its drive; returns the request it superseded."""
+        replaced = self._pools[drive_index].add_or_replace(record)
+        if replaced is None:
+            backlog = self._backlog = self._backlog + 1
+            if backlog > self.peak_backlog:
+                self.peak_backlog = backlog
+            self._m_depth.set(backlog)
+        return replaced
 
     def _dequeue(self, drive_index: int, oid: int) -> Optional[DataLogRecord]:
         """Take ``oid``'s queued request off its drive, if there is one."""
         record = self._pools[drive_index].remove(oid)
         if record is not None:
-            self._set_backlog(self._backlog - 1)
+            self._backlog -= 1
+            self._m_depth.set(self._backlog)
         return record
-
-    def _set_backlog(self, backlog: int) -> None:
-        self._backlog = backlog
-        if backlog > self.peak_backlog:
-            self.peak_backlog = backlog
-        self._m_depth.set(backlog)
 
     def _kick(self, drive_index: int) -> None:
         drive = self.drives[drive_index]
         pool = self._pools[drive_index]
         if drive.busy or not pool.oids:
             return
-        lo, hi = self.partitioner.range_of(drive_index)
-        oid = pool.nearest(drive.position, lo, hi)
-        record = self._dequeue(drive_index, oid)
-        assert record is not None
-        self._in_service[drive_index] = oid
-        seek = self._seek_distance(drive, oid)
-
+        record, seek = pool.take_nearest(drive.position)
+        self._backlog -= 1
+        self._m_depth.set(self._backlog)
         if seek is not None:
             self._m_seek.observe(seek)
+        # Bound methods plus pass-through arguments: no closure per flush.
+        drive.write(
+            record.oid,
+            self._done,
+            seek,
+            self._failed if self.faults.injects_flush else None,
+            drive_index,
+            record,
+            seek,
+        )
 
-        def _done() -> None:
-            self._in_service[drive_index] = None
-            self.completed += 1
-            self._m_completed.inc()
-            if self.trace.enabled:
-                self.trace.emit(
-                    self.sim.now,
-                    "flush",
-                    "complete",
-                    {"oid": oid, "drive": drive_index, "seek": seek},
-                )
-            self._install(record)
-            self._on_flush_complete(record)
-            self._kick(drive_index)
-
-        if not self.faults.injects_flush:
-            drive.write(oid, _done, seek_distance=seek)
-            return
-
-        def _failed(fault: DiskFault) -> None:
-            # Retry budget exhausted: put the update back in the pool (a
-            # newer committed version wins if one arrived meanwhile) and
-            # try again after the backoff.  The update stays recoverable
-            # throughout — its log record is not garbage until installed.
-            self._in_service[drive_index] = None
-            self.flush_requeues += 1
-            if self.trace.enabled:
-                self.trace.emit(
-                    self.sim.now,
-                    "fault",
-                    "flush_requeue",
-                    {"oid": oid, "drive": drive_index, "attempts": fault.attempts},
-                )
-            if record.cell is not None:
-                self._enqueue(drive_index, record)
-            self.sim.after(
-                self.faults.plan.retry_backoff_seconds, self._kick, drive_index
+    def _done(self, drive_index: int, record: DataLogRecord, seek: Optional[int]) -> None:
+        """A drive finished writing ``record``: install it, start the next."""
+        self.completed += 1
+        self._m_completed.inc()
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now,
+                "flush",
+                "complete",
+                {"oid": record.oid, "drive": drive_index, "seek": seek},
             )
+        self._install(record)
+        self._on_flush_complete(record)
+        self._kick(drive_index)
 
-        drive.write(oid, _done, seek_distance=seek, on_fault=_failed)
+    def _failed(
+        self, fault: DiskFault, drive_index: int, record: DataLogRecord, seek: Optional[int]
+    ) -> None:
+        """A drive exhausted its retry budget on ``record``.
+
+        The update goes back in the pool (a newer committed version wins if
+        one arrived meanwhile: the old record is garbage by then) and the
+        drive tries again after the backoff.  The update stays recoverable
+        throughout — its log record is not garbage until installed.
+        """
+        self.flush_requeues += 1
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now,
+                "fault",
+                "flush_requeue",
+                {"oid": record.oid, "drive": drive_index, "attempts": fault.attempts},
+            )
+        if record.cell is not None:
+            self._enqueue(drive_index, record)
+        else:
+            self._submit_times.pop(record.lsn, None)
+        self.sim.after(self.faults.plan.retry_backoff_seconds, self._kick, drive_index)
 
     def _install(self, record: DataLogRecord) -> None:
         if self._measure_settle:
-            submitted = self._submit_times.pop(record.oid, None)
+            submitted = self._submit_times.pop(record.lsn, None)
             if submitted is not None:
                 self._m_settle.observe(self.sim.now - submitted)
         self.database.install(
             record.oid,
             ObjectVersion(record.value, record.timestamp, record.lsn),
         )
-
-    def _seek_distance(self, drive: DiskDrive, oid: int) -> Optional[int]:
-        if drive.position is None:
-            return None
-        return self.partitioner.distance(drive.position, oid)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

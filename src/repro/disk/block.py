@@ -59,13 +59,15 @@ class BlockImage:
         """Payload bytes still available in this block."""
         return self.payload_capacity - self.payload_used
 
+    # ``fits`` and ``add`` run once per appended record, so both compute
+    # the free space inline instead of reading the property.
     def fits(self, record: LogRecord) -> bool:
         """Whether ``record`` fits in the remaining payload space."""
-        return record.size <= self.free_bytes
+        return record.size <= self.payload_capacity - self.payload_used
 
     def add(self, record: LogRecord) -> None:
         """Append a record; raises if it does not fit (records never split)."""
-        if record.size > self.free_bytes:
+        if record.size > self.payload_capacity - self.payload_used:
             raise RecordIntegrityError(
                 f"record of {record.size} B does not fit in block "
                 f"{self.address} with {self.free_bytes} B free"

@@ -15,7 +15,7 @@ caller instead of silently succeeding.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.disk.stats import DriveStats
 from repro.errors import SimulationError
@@ -27,7 +27,7 @@ from repro.sim.engine import Simulator
 class DiskDrive:
     """One drive with single-request service and a current oid position."""
 
-    __slots__ = ("sim", "index", "write_seconds", "stats", "_busy", "position", "faults")
+    __slots__ = ("sim", "index", "write_seconds", "stats", "busy", "position", "faults")
 
     def __init__(self, sim: Simulator, index: int, write_seconds: float, *, faults=NULL_FAULTS):
         if write_seconds <= 0:
@@ -36,46 +36,48 @@ class DiskDrive:
         self.index = index
         self.write_seconds = write_seconds
         self.stats = DriveStats()
-        self._busy = False
+        #: Whether a write is currently in service (set only by the drive).
+        self.busy = False
         #: Last oid written, used as the arm position for locality decisions.
         self.position: Optional[int] = None
         self.faults = faults
 
-    @property
-    def busy(self) -> bool:
-        """Whether a write is currently in service."""
-        return self._busy
-
     def write(
         self,
         oid: int,
-        on_complete: Callable[[], None],
+        on_complete: Callable[..., None],
         seek_distance: int | None = None,
-        on_fault: Callable[[DiskFault], None] | None = None,
+        on_fault: Callable[..., None] | None = None,
+        *args: Any,
     ) -> None:
-        """Service one block write for ``oid``; fire ``on_complete`` when done.
+        """Service one block write for ``oid``; fire ``on_complete(*args)`` when done.
 
         ``seek_distance`` is the circular oid distance from the previous
         position, provided by the scheduler (which knows the partition
-        geometry); it feeds the locality statistics only.
+        geometry); it feeds the locality statistics only.  ``args`` ride
+        along to the callbacks, so a caller can pass a bound method and
+        its arguments instead of building a closure per write.
 
         Under fault injection, a transiently failing attempt is retried in
         place after the plan's backoff; when the retry budget runs out the
-        drive goes idle and reports a :class:`DiskFault` via ``on_fault``
-        (required when flush faults are enabled).
+        drive goes idle and reports ``on_fault(fault, *args)`` with a
+        :class:`DiskFault` (required when flush faults are enabled).
         """
-        if self._busy:
+        if self.busy:
             raise SimulationError(f"drive {self.index} is busy")
-        self._busy = True
-        self.sim.after(self.write_seconds, self._service, oid, on_complete, seek_distance, on_fault, 0)
+        self.busy = True
+        self.sim.after(
+            self.write_seconds, self._service, oid, on_complete, seek_distance, on_fault, 0, *args
+        )
 
     def _service(
         self,
         oid: int,
-        on_complete: Callable[[], None],
+        on_complete: Callable[..., None],
         seek_distance: int | None,
-        on_fault: Callable[[DiskFault], None] | None,
+        on_fault: Callable[..., None] | None,
         attempt: int,
+        *args: Any,
     ) -> None:
         faults = self.faults
         if faults.injects_flush and faults.flush_write_fails(self.index):
@@ -90,9 +92,10 @@ class DiskDrive:
                     seek_distance,
                     on_fault,
                     attempt + 1,
+                    *args,
                 )
                 return
-            self._busy = False
+            self.busy = False
             if on_fault is None:
                 raise SimulationError(
                     f"drive {self.index} write failed with no fault handler"
@@ -103,14 +106,15 @@ class DiskDrive:
                     time=self.sim.now,
                     drive=self.index,
                     attempts=attempt + 1,
-                )
+                ),
+                *args,
             )
             return
-        self._busy = False
+        self.busy = False
         self.position = oid
         self.stats.record_write(self.write_seconds, seek_distance)
-        on_complete()
+        on_complete(*args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "busy" if self._busy else "idle"
+        state = "busy" if self.busy else "idle"
         return f"<DiskDrive {self.index} {state} pos={self.position}>"

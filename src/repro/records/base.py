@@ -6,8 +6,6 @@ import enum
 import itertools
 from typing import Callable
 
-from repro.errors import RecordIntegrityError
-
 
 class RecordKind(enum.IntEnum):
     """Discriminator for the record types that may appear in the log."""
@@ -37,22 +35,17 @@ class LogRecord:
             tracking this record while it is non-garbage, else ``None``.
             ``cell is None`` is exactly the paper's "garbage" state for a
             record that once had a cell.
+
+    The concrete classes (:class:`~repro.records.data.DataLogRecord` and
+    :class:`~repro.records.tx.TxLogRecord`) assign these slots and
+    check ``size > 0`` and ``lsn >= 0`` in their own ``__init__``: a run
+    builds one record per update and per transaction milestone, so the
+    ``super().__init__`` frame is left out.
     """
 
     __slots__ = ("lsn", "tid", "timestamp", "size", "cell")
 
     kind: RecordKind  # set by subclasses
-
-    def __init__(self, lsn: int, tid: int, timestamp: float, size: int):
-        if size <= 0:
-            raise RecordIntegrityError(f"record size must be positive, got {size}")
-        if lsn < 0:
-            raise RecordIntegrityError(f"lsn must be non-negative, got {lsn}")
-        self.lsn = lsn
-        self.tid = tid
-        self.timestamp = timestamp
-        self.size = size
-        self.cell = None
 
     @property
     def is_garbage(self) -> bool:
@@ -72,5 +65,5 @@ class LogRecord:
 
 def next_lsn_factory(start: int = 0) -> Callable[[], int]:
     """Return a callable producing consecutive LSNs starting at ``start``."""
-    counter = itertools.count(start)
-    return lambda: next(counter)
+    # The bound ``__next__`` of a C iterator: no Python frame per LSN.
+    return itertools.count(start).__next__

@@ -8,6 +8,7 @@ access path level).
 
 from __future__ import annotations
 
+from repro.errors import RecordIntegrityError
 from repro.records.base import LogRecord, RecordKind
 
 
@@ -34,7 +35,16 @@ class DataLogRecord(LogRecord):
         oid: int,
         value: int,
     ):
-        super().__init__(lsn, tid, timestamp, size)
+        # Sets and checks the base slots itself (see LogRecord).
+        if size <= 0:
+            raise RecordIntegrityError(f"record size must be positive, got {size}")
+        if lsn < 0:
+            raise RecordIntegrityError(f"lsn must be non-negative, got {lsn}")
+        self.lsn = lsn
+        self.tid = tid
+        self.timestamp = timestamp
+        self.size = size
+        self.cell = None
         self.oid = oid
         self.value = value
 

@@ -8,6 +8,7 @@ size at 8 bytes.
 from __future__ import annotations
 
 from repro.constants import TX_RECORD_BYTES
+from repro.errors import RecordIntegrityError
 from repro.records.base import LogRecord, RecordKind
 
 
@@ -17,7 +18,16 @@ class TxLogRecord(LogRecord):
     __slots__ = ()
 
     def __init__(self, lsn: int, tid: int, timestamp: float, size: int = TX_RECORD_BYTES):
-        super().__init__(lsn, tid, timestamp, size)
+        # Sets and checks the base slots itself (see LogRecord).
+        if size <= 0:
+            raise RecordIntegrityError(f"record size must be positive, got {size}")
+        if lsn < 0:
+            raise RecordIntegrityError(f"lsn must be non-negative, got {lsn}")
+        self.lsn = lsn
+        self.tid = tid
+        self.timestamp = timestamp
+        self.size = size
+        self.cell = None
 
 
 class BeginRecord(TxLogRecord):

@@ -36,10 +36,13 @@ class Simulator:
     of simulated time as in the paper.
     """
 
-    __slots__ = ("_now", "_heap", "_seq", "_events_executed", "_running")
+    __slots__ = ("now", "_heap", "_seq", "_events_executed", "_running")
 
     def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+        #: Current simulated time in seconds.  A plain attribute, not a
+        #: property: the managers read it several times per event.  Only
+        #: the engine assigns it.
+        self.now = float(start_time)
         self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = 0
         self._events_executed = 0
@@ -48,11 +51,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Total number of events executed so far (for diagnostics)."""
@@ -79,7 +77,7 @@ class Simulator:
         turn it into a series).
         """
         return {
-            "now": self._now,
+            "now": self.now,
             "events_executed": self._events_executed,
             "heap_depth": len(self._heap),
             "next_event_time": self._heap[0][0] if self._heap else None,
@@ -95,9 +93,9 @@ class Simulator:
         already-queued events with the same timestamp); scheduling in the
         past raises :class:`~repro.errors.SchedulingError`.
         """
-        if time < self._now:
+        if time < self.now:
             raise SchedulingError(
-                f"cannot schedule event at t={time!r}; current time is {self._now!r}"
+                f"cannot schedule event at t={time!r}; current time is {self.now!r}"
             )
         seq = self._seq
         handle = EventHandle(time, seq, callback, args)
@@ -113,7 +111,7 @@ class Simulator:
         # and the past-time check would both be pure overhead.
         if delay < 0:
             raise SchedulingError(f"negative delay {delay!r}")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq
         handle = EventHandle(time, seq, callback, args)
         self._seq = seq + 1
@@ -128,7 +126,7 @@ class Simulator:
         self._drop_cancelled()
         if not self._heap:
             return False
-        self._now, _, handle = heapq.heappop(self._heap)
+        self.now, _, handle = heapq.heappop(self._heap)
         handle._mark_fired()
         self._events_executed += 1
         handle.callback(*handle.args)
@@ -141,9 +139,9 @@ class Simulator:
         the window.  After the call, :attr:`now` equals ``end_time`` even if
         the queue drained earlier, mirroring a fixed-duration experiment.
         """
-        if end_time < self._now:
+        if end_time < self.now:
             raise SchedulingError(
-                f"run_until({end_time!r}) is in the past (now={self._now!r})"
+                f"run_until({end_time!r}) is in the past (now={self.now!r})"
             )
         if self._running:
             raise SchedulingError("simulator is not reentrant")
@@ -167,11 +165,11 @@ class Simulator:
                     break
                 if handle._state == cancelled_state:
                     continue
-                self._now = time
+                self.now = time
                 handle._state = EventHandle._FIRED
                 executed += 1
                 handle.callback(*handle.args)
-            self._now = end_time
+            self.now = end_time
         finally:
             self._events_executed += executed
             self._running = False
@@ -190,7 +188,7 @@ class Simulator:
                 time, _, handle = pop(heap)
                 if handle._state == cancelled_state:
                     continue
-                self._now = time
+                self.now = time
                 handle._state = EventHandle._FIRED
                 executed += 1
                 handle.callback(*handle.args)
@@ -208,6 +206,6 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Simulator now={self._now:.6f} pending={len(self._heap)} "
+            f"<Simulator now={self.now:.6f} pending={len(self._heap)} "
             f"executed={self._events_executed}>"
         )

@@ -27,7 +27,7 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import SimRng
 from repro.workload.arrivals import ArrivalProcess, DeterministicArrivals
 from repro.workload.oids import OidChooser
-from repro.workload.spec import TransactionType, WorkloadMix
+from repro.workload.spec import WorkloadMix
 from repro.workload.transactions import TransactionRun, TxOutcome
 
 
@@ -98,6 +98,16 @@ class WorkloadGenerator:
         self._arrival_rng = rng.stream("arrivals")
         self.oid_chooser = OidChooser(num_objects, rng.stream("oids"), skew=skew)
         self._weights = mix.weights
+        # Per type (parallel to ``mix.types``): the Figure-3 offsets of its
+        # data records from initiation, computed once instead of per
+        # transaction.
+        self._timetables = [
+            tuple(
+                i * ((tx_type.duration - epsilon) / max(tx_type.record_count, 1))
+                for i in range(1, tx_type.record_count + 1)
+            )
+            for tx_type in mix.types
+        ]
         self._next_tid = itertools.count(1)
         self._next_value = itertools.count(1)
 
@@ -132,7 +142,8 @@ class WorkloadGenerator:
             self.sim.at(next_time, self._arrive)
 
     def _initiate(self) -> None:
-        tx_type = self._pick_type()
+        type_index = self._pick_type()
+        tx_type = self.mix.types[type_index]
         tid = next(self._next_tid)
         run = TransactionRun(tid, tx_type, self.sim.now)
         self.active[tid] = run
@@ -144,12 +155,11 @@ class WorkloadGenerator:
         self.manager.begin(tid, expected_lifetime=hint)
 
         # Schedule the Figure-3 record timetable.
-        spacing = (tx_type.duration - self.epsilon) / max(tx_type.record_count, 1)
-        for i in range(1, tx_type.record_count + 1):
-            handle = self.sim.after(i * spacing, self._write_update, run)
-            run.pending_events.append(handle)
-        handle = self.sim.after(tx_type.duration, self._request_commit, run)
-        run.pending_events.append(handle)
+        after = self.sim.after
+        pending = run.pending_events
+        for offset in self._timetables[type_index]:
+            pending.append(after(offset, self._write_update, run))
+        pending.append(after(tx_type.duration, self._request_commit, run))
 
     def _write_update(self, run: TransactionRun) -> None:
         if run.outcome is not TxOutcome.RUNNING:
@@ -207,14 +217,15 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _pick_type(self) -> TransactionType:
+    def _pick_type(self) -> int:
+        """Index into ``mix.types`` of the next transaction's type."""
         r = self._type_rng.random()
         acc = 0.0
-        for tx_type, weight in zip(self.mix.types, self._weights):
+        for index, weight in enumerate(self._weights):
             acc += weight
             if r < acc:
-                return tx_type
-        return self.mix.types[-1]
+                return index
+        return len(self._weights) - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.flushqueue import FlushScheduler
+from repro.core.flushqueue import FlushScheduler, _DrivePool
 from repro.db.database import StableDatabase
 from repro.disk.partition import RangePartitioner
 from repro.faults.injector import NULL_FAULTS, FaultInjector
 from repro.faults.plan import FaultPlan
+from repro.harness.config import SimulationConfig
+from repro.harness.simulator import Simulation
+from repro.obs import ObsConfig
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.sim.engine import Simulator
 from repro.sim.rng import SimRng
@@ -201,6 +204,71 @@ class TestBacklogAccounting:
         assert depth.value == 1
         scheduler.demand_flush(live_record(3, 3))
         assert depth.value == 0 and depth.peak == 2
+
+
+class TestSettleLatency:
+    """``flush.settle_seconds``: one sample per installed record."""
+
+    def test_resubmit_while_in_service_gets_its_own_sample(self, sim):
+        metrics = MetricsRegistry()
+        scheduler, _, _ = make_scheduler(sim, drives=1, metrics=metrics)
+        scheduler.submit(live_record(0, 5))  # in service from t=0
+        sim.run_until(0.004)
+        scheduler.submit(live_record(1, 5))  # a newer version, queued at 0.004
+        sim.run()
+        settle = metrics.histogram("flush.settle_seconds")
+        assert scheduler.completed == 2
+        assert settle.count == 2
+        # Installed at 0.01 and 0.02.
+        assert (settle.min, settle.max) == (pytest.approx(0.01), pytest.approx(0.016))
+
+    def test_superseded_request_hands_on_no_submit_time(self, sim):
+        metrics = MetricsRegistry()
+        scheduler, _, _ = make_scheduler(sim, drives=1, metrics=metrics)
+        scheduler.submit(live_record(0, 1))  # in service until 0.01
+        scheduler.submit(live_record(1, 5))  # queued at 0
+        sim.run_until(0.004)
+        scheduler.submit(live_record(2, 5))  # replaces lsn 1 in the pool
+        sim.run()
+        settle = metrics.histogram("flush.settle_seconds")
+        assert scheduler.completed == 2 and scheduler.superseded_in_pool == 1
+        assert settle.count == 2
+        assert settle.max == pytest.approx(0.016)  # from 0.004, not from 0
+        assert not scheduler._submit_times
+
+    def test_one_sample_per_flush_at_a_crowded_paper_point(self):
+        """FW 123 over 2,000 objects: oids are often resubmitted in service."""
+        config = SimulationConfig.firewall(
+            123, num_objects=2000, runtime=60.0, obs=ObsConfig(metrics=True)
+        )
+        simulation = Simulation(config)
+        simulation.run()
+        scheduler = simulation.manager.scheduler
+        settle = scheduler.metrics.histogram("flush.settle_seconds")
+        assert scheduler.completed > 12000
+        assert settle.count == scheduler.completed + scheduler.demand_flushes
+
+
+@given(
+    oids=st.sets(st.integers(0, 99), min_size=1, max_size=30),
+    position=st.one_of(st.none(), st.integers(0, 99)),
+)
+@settings(max_examples=300, deadline=None)
+def test_take_nearest_is_the_circular_minimum(oids, position):
+    """The pool's pick against a scan of every queued oid."""
+    partitioner = RangePartitioner(100, 1)
+    pool = _DrivePool(100)
+    for lsn, oid in enumerate(sorted(oids)):
+        pool.add_or_replace(make_data_record(lsn=lsn, oid=oid))
+    record, distance = pool.take_nearest(position)
+    if position is None:
+        assert (record.oid, distance) == (min(oids), None)
+    else:
+        expected = min(oids, key=lambda oid: (partitioner.distance(position, oid), oid))
+        assert record.oid == expected
+        assert distance == partitioner.distance(position, expected)
+    assert pool.oids == sorted(oids - {record.oid})
+    assert set(pool.records) == oids - {record.oid}
 
 
 _OPS = st.lists(

@@ -9,6 +9,7 @@ import pytest
 from repro.core.ephemeral import EphemeralLogManager
 from repro.core.firewall import FirewallLogManager
 from repro.core.hybrid import HybridLogManager
+from repro.faults.plan import FaultPlan
 from repro.harness.config import SimulationConfig, Technique
 from repro.harness.simulator import Simulation, run_simulation
 
@@ -107,6 +108,29 @@ class TestExecution:
         assert result.transactions_unfinished > 0
 
 
+FLUSH_FAULTS = FaultPlan(flush_fault_rate=0.2, max_retries=0)
+
+#: Per flush drive at the 60 s paper points: (writes, seek distance total,
+#: seek samples).
+PAPER_POINT_DRIVES = [
+    (1174, 261384051, 1173), (1262, 269002051, 1261), (1203, 262706396, 1202),
+    (1269, 268630293, 1268), (1197, 263167744, 1196), (1193, 258827627, 1192),
+    (1227, 270503832, 1226), (1199, 265710808, 1198), (1256, 260886476, 1255),
+    (1215, 271062242, 1214),
+]
+FLUSH_FAULT_DRIVES = [
+    (1173, 227764902, 1172), (1262, 233042955, 1261), (1203, 224426371, 1202),
+    (1268, 242752991, 1267), (1197, 225944200, 1196), (1193, 223247589, 1192),
+    (1227, 239575218, 1226), (1199, 230727591, 1198), (1255, 229212819, 1254),
+    (1215, 245590174, 1214),
+]
+
+
+def _drive_totals(simulation) -> list:
+    report = simulation.manager.scheduler.drive_report(simulation.config.runtime)
+    return [(d["writes"], d["seek_distance_total"], d["seek_samples"]) for d in report]
+
+
 class TestPaperPointPins:
     """The paper points at 60 simulated seconds, pinned value for value.
 
@@ -143,3 +167,33 @@ class TestPaperPointPins:
         assert hashlib.sha256(acked.encode()).hexdigest() == (
             "3095bf2ff401363d4482dfce1bcb616e3302e2f9ecde4c2a17c137b148f6ee12"
         )
+        # The flush layer, drive by drive: both techniques commit the same
+        # updates at the same instants, so their flushes match too.
+        assert result.flushes_completed == 12195
+        assert result.flush_mean_seek_distance == 217634.9216249487
+        assert result.flush_peak_backlog == 22
+        assert result.demand_flushes == 0
+        assert _drive_totals(simulation) == PAPER_POINT_DRIVES
+
+    @pytest.mark.parametrize(
+        "config, events",
+        [
+            (SimulationConfig.ephemeral((18, 16), recirculation=True, long_fraction=0.05,
+                                        runtime=60.0, faults=FLUSH_FAULTS), 43343),
+            (SimulationConfig.firewall(123, long_fraction=0.05, runtime=60.0,
+                                       faults=FLUSH_FAULTS), 43268),
+        ],
+        ids=["el-18-16", "fw-123"],
+    )
+    def test_flush_faults_are_unchanged(self, config, events):
+        """One in five flush writes fails with no retry: the requeue path."""
+        simulation = Simulation(config)
+        result = simulation.run()
+        scheduler = simulation.manager.scheduler
+        assert result.events_executed == events
+        assert result.flushes_completed == 12192
+        assert scheduler.flush_requeues == 3034
+        assert result.flush_peak_backlog == 34
+        assert result.flush_mean_seek_distance == 190632.47496306026
+        assert result.demand_flushes == 0
+        assert _drive_totals(simulation) == FLUSH_FAULT_DRIVES
