@@ -19,7 +19,6 @@ from typing import Optional
 
 from repro.disk.block import BlockImage
 from repro.errors import SimulationError
-from repro.obs.metrics import Gauge, NULL_GAUGE
 
 
 class BufferState(enum.Enum):
@@ -67,15 +66,11 @@ class BlockBuffer:
 
 
 class BufferPool:
-    """Accounted pool of :class:`BlockBuffer` objects for one generation.
+    """Accounted pool of :class:`BlockBuffer` objects for one generation."""
 
-    ``occupancy_gauge`` is an optional observability hook mirroring
-    :attr:`in_use` (and its peak) into a metrics registry.
-    """
+    __slots__ = ("capacity", "_free", "in_use", "peak_in_use", "overdrafts")
 
-    __slots__ = ("capacity", "_free", "in_use", "peak_in_use", "overdrafts", "_gauge")
-
-    def __init__(self, capacity: int, occupancy_gauge: Gauge = NULL_GAUGE):
+    def __init__(self, capacity: int):
         if capacity < 1:
             raise SimulationError(f"buffer pool needs >=1 buffer, got {capacity}")
         self.capacity = capacity
@@ -83,14 +78,12 @@ class BufferPool:
         self.in_use = 0
         self.peak_in_use = 0
         self.overdrafts = 0
-        self._gauge = occupancy_gauge
 
     def acquire(self) -> BlockBuffer:
         """Take a buffer; never blocks, but counts overdrafts past capacity."""
         self.in_use += 1
         if self.in_use > self.peak_in_use:
             self.peak_in_use = self.in_use
-        self._gauge.set(self.in_use)
         if self._free:
             return self._free.pop()
         self.overdrafts += 1
@@ -101,7 +94,6 @@ class BufferPool:
         if self.in_use <= 0:
             raise SimulationError("release without matching acquire")
         self.in_use -= 1
-        self._gauge.set(self.in_use)
         if len(self._free) < self.capacity:
             self._free.append(buffer)
 

@@ -98,12 +98,6 @@ class EphemeralLogManager(LogManager):
         self.trace = trace
         self.metrics = metrics
         source = self.trace_source
-        self._m_forwarded = metrics.counter(f"{source}.forwarded")
-        self._m_recirculated = metrics.counter(f"{source}.recirculated")
-        self._m_demand_flushes = metrics.counter(f"{source}.demand_flushes")
-        self._m_kills = metrics.counter(f"{source}.kills")
-        self._m_garbage = metrics.counter(f"{source}.garbage_discarded")
-        self._m_gap_episodes = metrics.counter(f"{source}.gap_episodes")
         self._m_gap_blocks = metrics.histogram(f"{source}.gap_blocks_processed")
 
         # Shared across managers when several shards feed one logical log:
@@ -153,13 +147,6 @@ class EphemeralLogManager(LogManager):
         # Fault detection and self-healing (only wired when a plan injects).
         self.faults = faults
         self._fault_mode = faults.enabled
-        fault_metrics = metrics if self._fault_mode else NULL_METRICS
-        self._m_blocks_retired = fault_metrics.counter(f"{source}.fault.blocks_retired")
-        self._m_records_healed = fault_metrics.counter(f"{source}.fault.records_healed")
-        self._m_records_stabilised = fault_metrics.counter(
-            f"{source}.fault.records_stabilised"
-        )
-        self._m_deferred_acks = fault_metrics.counter(f"{source}.fault.deferred_acks")
         if self._fault_mode:
             for generation in self.generations:
                 generation.on_write_unresolved = self._handle_write_unresolved
@@ -198,13 +185,32 @@ class EphemeralLogManager(LogManager):
         self.committed_count = 0
         self.aborted_count = 0
         self.kill_count = 0
-        self.killed_tids: List[int] = []
         self.forced_migration_seals = 0
         self.pressure_episodes = 0
+        #: Head advances that processed at least one block.
+        self.gap_episodes = 0
         #: Records of COMMIT_PENDING transactions recirculated in the last
         #: generation even with recirculation disabled (see
         #: :meth:`_route_head_records`).
         self.emergency_recirculations = 0
+
+        metrics.view(f"{source}.forwarded", lambda: self.forwarded_records)
+        metrics.view(f"{source}.recirculated", lambda: self.recirculated_records)
+        # Demand flushes of the head-routing fates; the scheduler's count
+        # also holds the fault path's stabilising flushes.
+        metrics.view(
+            f"{source}.demand_flushes",
+            lambda: self.scheduler.demand_flushes - self.records_stabilised,
+        )
+        metrics.view(f"{source}.kills", lambda: self.kill_count)
+        metrics.view(f"{source}.garbage_discarded", lambda: self.garbage_copies_discarded)
+        metrics.view(f"{source}.gap_episodes", lambda: self.gap_episodes)
+        if self._fault_mode:
+            fault = f"{source}.fault."
+            metrics.view(fault + "blocks_retired", lambda: self.blocks_retired)
+            metrics.view(fault + "records_healed", lambda: self.records_healed)
+            metrics.view(fault + "records_stabilised", lambda: self.records_stabilised)
+            metrics.view(fault + "deferred_acks", lambda: self.deferred_acks)
 
     # ==================================================================
     # LogManager API
@@ -403,7 +409,7 @@ class EphemeralLogManager(LogManager):
             ):
                 self._gather_and_seal_forwarded(gen_index)
             if processed:
-                self._m_gap_episodes.inc()
+                self.gap_episodes += 1
                 self._m_gap_blocks.observe(processed)
                 if self.trace.enabled:
                     self.trace.emit(
@@ -456,7 +462,6 @@ class EphemeralLogManager(LogManager):
             record = cell.record
             self._migrate(record, gen_index, target)
             self.forwarded_records += 1
-            self._m_forwarded.inc()
             if self.trace.enabled:
                 self.trace.emit(
                     self.sim.now,
@@ -493,7 +498,6 @@ class EphemeralLogManager(LogManager):
             if cell is None or cell.address != image.address:
                 # Garbage, or a stale copy of a record that moved on.
                 self.garbage_copies_discarded += 1
-                self._m_garbage.inc()
                 continue
             entry = self.ltt.get(record.tid)
             if entry is None:
@@ -508,7 +512,6 @@ class EphemeralLogManager(LogManager):
                     or self._degraded[gen_index]
                 )
                 if must_flush:
-                    self._m_demand_flushes.inc()
                     if traced:
                         self.trace.emit(
                             self.sim.now,
@@ -534,7 +537,6 @@ class EphemeralLogManager(LogManager):
                 ):
                     continue
                 self.forwarded_records += 1
-                self._m_forwarded.inc()
                 if traced:
                     self.trace.emit(
                         self.sim.now,
@@ -548,7 +550,6 @@ class EphemeralLogManager(LogManager):
                 ):
                     continue
                 self.recirculated_records += 1
-                self._m_recirculated.inc()
                 if traced:
                     self.trace.emit(
                         self.sim.now,
@@ -730,7 +731,6 @@ class EphemeralLogManager(LogManager):
             if entry.status is TxStatus.COMMITTED:
                 if isinstance(record, DataLogRecord):
                     self.records_stabilised += 1
-                    self._m_records_stabilised.inc()
                     self.scheduler.demand_flush(record)
                 else:
                     self._settle_by_demand_flush(entry)
@@ -812,7 +812,6 @@ class EphemeralLogManager(LogManager):
                 continue
             healed += 1
             self.records_healed += 1
-            self._m_records_healed.inc()
         if healed:
             # The relocated copies must reach disk promptly — their old
             # copies are gone (failed write) or decaying (latent error).
@@ -834,7 +833,6 @@ class EphemeralLogManager(LogManager):
         if entry.status is TxStatus.COMMITTED:
             if isinstance(record, DataLogRecord):
                 self.records_stabilised += 1
-                self._m_records_stabilised.inc()
                 self.scheduler.demand_flush(record)
             else:
                 self._settle_by_demand_flush(entry)
@@ -858,7 +856,6 @@ class EphemeralLogManager(LogManager):
             return False
         array.retire(slot)
         self.blocks_retired += 1
-        self._m_blocks_retired.inc()
         if self.trace.enabled:
             self.trace.emit(
                 self.sim.now,
@@ -950,7 +947,6 @@ class EphemeralLogManager(LogManager):
             # park the ack until every hold releases.
             if entry.deferred_ack is None:
                 self.deferred_acks += 1
-                self._m_deferred_acks.inc()
                 if self.trace.enabled:
                     self.trace.emit(
                         self.sim.now,
@@ -964,7 +960,7 @@ class EphemeralLogManager(LogManager):
         entry.commit_time = self.sim.now
         entry.commit_lsn = None
         for oid in list(entry.oids):
-            superseded = self.lot.promote_on_commit(tid, oid)
+            committed, superseded = self.lot.promote_on_commit(tid, oid)
             if superseded is not None:
                 # "If a data log record for an earlier committed update
                 # existed, it is now garbage."
@@ -974,11 +970,7 @@ class EphemeralLogManager(LogManager):
                 if old_entry is not None:
                     old_entry.oids.discard(oid)
                     self._maybe_settle(old_entry)
-            lot_entry = self.lot.get(oid)
-            assert lot_entry is not None and lot_entry.committed_cell is not None
-            committed_record = lot_entry.committed_cell.record
-            assert isinstance(committed_record, DataLogRecord)
-            self.scheduler.submit(committed_record)
+            self.scheduler.submit(committed.record)
         self.committed_count += 1
         self._maybe_settle(entry)
         on_ack(tid, self.sim.now)
@@ -990,7 +982,7 @@ class EphemeralLogManager(LogManager):
         lot_entry = self.lot.get(record.oid)
         if lot_entry is None or lot_entry.committed_cell is not cell:
             return
-        self.lot.drop_committed(record.oid)
+        self.lot.drop_committed(lot_entry)
         self._dispose_cell(cell)
         entry = self.ltt.get(record.tid)
         if entry is not None:
@@ -1003,7 +995,6 @@ class EphemeralLogManager(LogManager):
             assert lot_entry is not None and lot_entry.committed_cell is not None
             record = lot_entry.committed_cell.record
             assert isinstance(record, DataLogRecord)
-            self._m_demand_flushes.inc()
             if self.trace.enabled:
                 self.trace.emit(
                     self.sim.now,
@@ -1023,8 +1014,6 @@ class EphemeralLogManager(LogManager):
             )
         self._discard_transaction(entry)
         self.kill_count += 1
-        self.killed_tids.append(tid)
-        self._m_kills.inc()
         self.trace.emit(
             self.sim.now, self.trace_source, "kill", {"tid": tid, "reason": reason}
         )

@@ -63,7 +63,9 @@ class FirewallLogManager(EphemeralLogManager):
             trace=trace,
             **kwargs,
         )
-        self._m_blocks_reclaimed = self.metrics.counter("fw.blocks_reclaimed")
+        #: Head blocks freed (the firewall's space reclamation).
+        self.blocks_reclaimed = 0
+        self.metrics.view("fw.blocks_reclaimed", lambda: self.blocks_reclaimed)
 
     @property
     def log(self):
@@ -91,7 +93,7 @@ class FirewallLogManager(EphemeralLogManager):
     def _advance_head_once(self, gen_index: int) -> bool:
         advanced = super()._advance_head_once(gen_index)
         if advanced:
-            self._m_blocks_reclaimed.inc()
+            self.blocks_reclaimed += 1
             if self.trace.enabled:
                 self.trace.emit(
                     self.sim.now,

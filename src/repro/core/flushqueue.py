@@ -129,10 +129,10 @@ class FlushScheduler:
         self._on_flush_complete = on_flush_complete
         self.trace = trace
         self.metrics = metrics
-        self._m_submitted = metrics.counter("flush.submitted")
-        self._m_completed = metrics.counter("flush.completed")
-        self._m_demand = metrics.counter("flush.demand")
-        self._m_depth = metrics.gauge("flush.depth")
+        metrics.view("flush.submitted", lambda: self.submitted)
+        metrics.view("flush.completed", lambda: self.completed)
+        metrics.view("flush.demand", lambda: self.demand_flushes)
+        metrics.view("flush.depth", lambda: self._backlog, lambda: self.peak_backlog)
         self._m_seek = metrics.histogram("flush.seek_distance")
         self._m_settle = metrics.histogram("flush.settle_seconds")
         # Submit time per record LSN, kept only while metrics are on: it
@@ -164,7 +164,6 @@ class FlushScheduler:
         drive_index = self.partitioner.drive_of(record.oid)
         replaced = self._enqueue(drive_index, record)
         self.submitted += 1
-        self._m_submitted.inc()
         if replaced is not None:
             self.superseded_in_pool += 1
         if self._measure_settle:
@@ -209,7 +208,6 @@ class FlushScheduler:
         drive.stats.record_write(0.0, seek)
         drive.position = record.oid
         self.demand_flushes += 1
-        self._m_demand.inc()
         if seek is not None:
             self._m_seek.observe(seek)
         if self.trace.enabled:
@@ -269,7 +267,6 @@ class FlushScheduler:
             backlog = self._backlog = self._backlog + 1
             if backlog > self.peak_backlog:
                 self.peak_backlog = backlog
-            self._m_depth.set(backlog)
         return replaced
 
     def _dequeue(self, drive_index: int, oid: int) -> Optional[DataLogRecord]:
@@ -277,7 +274,6 @@ class FlushScheduler:
         record = self._pools[drive_index].remove(oid)
         if record is not None:
             self._backlog -= 1
-            self._m_depth.set(self._backlog)
         return record
 
     def _kick(self, drive_index: int) -> None:
@@ -287,7 +283,6 @@ class FlushScheduler:
             return
         record, seek = pool.take_nearest(drive.position)
         self._backlog -= 1
-        self._m_depth.set(self._backlog)
         if seek is not None:
             self._m_seek.observe(seek)
         # Bound methods plus pass-through arguments: no closure per flush.
@@ -304,7 +299,6 @@ class FlushScheduler:
     def _done(self, drive_index: int, record: DataLogRecord, seek: Optional[int]) -> None:
         """A drive finished writing ``record``: install it, start the next."""
         self.completed += 1
-        self._m_completed.inc()
         if self.trace.enabled:
             self.trace.emit(
                 self.sim.now,

@@ -76,13 +76,15 @@ class Generation:
         self.write_seconds = write_seconds
         self.array = CircularBlockArray(capacity_blocks)
         self.cells = CellList(index)
-        self.pool = BufferPool(
-            buffer_count,
-            occupancy_gauge=metrics.gauge(f"pool.gen{index}.in_use"),
-        )
+        self.pool = BufferPool(buffer_count)
         self.trace = trace
-        self._m_blocks_written = metrics.counter(f"log.gen{index}.blocks_written")
-        self._m_bytes_written = metrics.counter(f"log.gen{index}.bytes_written")
+        metrics.view(
+            f"pool.gen{index}.in_use",
+            lambda: self.pool.in_use,
+            lambda: self.pool.peak_in_use,
+        )
+        metrics.view(f"log.gen{index}.blocks_written", lambda: self.blocks_written)
+        metrics.view(f"log.gen{index}.bytes_written", lambda: self.bytes_written)
         self._m_batch_records = metrics.histogram("log.block_records")
         self._on_block_durable = on_block_durable
         #: Hook the log manager installs to protect pending migration
@@ -288,8 +290,6 @@ class Generation:
         self.blocks_written += 1
         self.bytes_written += image.payload_used
         self.writes_in_flight += 1
-        self._m_blocks_written.inc()
-        self._m_bytes_written.inc(image.payload_used)
         self._m_batch_records.observe(len(image.records))
         if self.trace.enabled:
             self.trace.emit(

@@ -137,9 +137,6 @@ class HybridLogManager(LogManager):
             bytes_per_transaction=40, bytes_per_object=0
         )
         self.trace = trace
-        self.metrics = metrics
-        self._m_regenerated = metrics.counter("hybrid.regenerated")
-        self._m_kills = metrics.counter("hybrid.kills")
         self._next_lsn = next_lsn_factory()
 
         #: One FIFO queue per generation (the paper's "chain of FIFO queues").
@@ -184,9 +181,10 @@ class HybridLogManager(LogManager):
         self.committed_count = 0
         self.aborted_count = 0
         self.kill_count = 0
-        self.killed_tids: List[int] = []
         self.regenerated_records = 0
         self.fresh_records = 0
+        metrics.view("hybrid.regenerated", lambda: self.regenerated_records)
+        metrics.view("hybrid.kills", lambda: self.kill_count)
 
     # ==================================================================
     # LogManager API
@@ -362,7 +360,6 @@ class HybridLogManager(LogManager):
             if first_slot is None:
                 first_slot = address.slot
             self.regenerated_records += 1
-            self._m_regenerated.inc()
             if reserved:
                 self._ensure_gap(target_index)
         if self.trace.enabled:
@@ -487,8 +484,6 @@ class HybridLogManager(LogManager):
             raise SimulationError(f"cannot kill {entry.status.value} tx {tid}")
         self._drop_entry(entry)
         self.kill_count += 1
-        self.killed_tids.append(tid)
-        self._m_kills.inc()
         self.trace.emit(self.sim.now, "hybrid", "kill", {"tid": tid})
         if self.on_kill is not None:
             self.on_kill(tid, self.sim.now)

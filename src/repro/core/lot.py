@@ -13,7 +13,7 @@ tombstone issues) that motivated the paper's choice.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.core.cells import Cell
 from repro.errors import SimulationError
@@ -89,11 +89,12 @@ class LoggedObjectTable:
         entry.uncommitted_cells[record.tid] = cell
         return entry
 
-    def promote_on_commit(self, tid: int, oid: int) -> Optional[Cell]:
+    def promote_on_commit(self, tid: int, oid: int) -> Tuple[Cell, Optional[Cell]]:
         """Make ``tid``'s update the most-recently-committed one for ``oid``.
 
-        Returns the cell of the *previous* committed update if one existed —
-        that record "is now garbage" and the caller must dispose it.
+        Returns the promoted cell and the cell of the *previous* committed
+        update if one existed — that record "is now garbage" and the caller
+        must dispose it.
         """
         entry = self._require(oid)
         cell = entry.uncommitted_cells.pop(tid, None)
@@ -101,7 +102,7 @@ class LoggedObjectTable:
             raise SimulationError(f"tx {tid} has no uncommitted update for oid {oid}")
         superseded = entry.committed_cell
         entry.committed_cell = cell
-        return superseded
+        return cell, superseded
 
     def drop_uncommitted(self, tid: int, oid: int) -> Cell:
         """Remove an aborted transaction's cell for ``oid`` (caller disposes)."""
@@ -112,21 +113,14 @@ class LoggedObjectTable:
         self._prune(entry)
         return cell
 
-    def drop_committed(self, oid: int) -> Cell:
-        """Remove the committed-unflushed cell after its update was flushed."""
-        entry = self._require(oid)
+    def drop_committed(self, entry: LotEntry) -> Cell:
+        """Remove ``entry``'s committed-unflushed cell after its update was flushed."""
         cell = entry.committed_cell
         if cell is None:
-            raise SimulationError(f"oid {oid} has no committed unflushed update")
+            raise SimulationError(f"oid {entry.oid} has no committed unflushed update")
         entry.committed_cell = None
         self._prune(entry)
         return cell
-
-    def prune(self, oid: int) -> None:
-        """Delete the entry if it became empty (public for manager code)."""
-        entry = self._entries.get(oid)
-        if entry is not None:
-            self._prune(entry)
 
     # ------------------------------------------------------------------
     # Internals

@@ -81,9 +81,9 @@ class _PrefixedRng:
 class _PrefixedMetrics:
     """Per-shard metric labels: ``el.forwarded`` becomes ``s0.el.forwarded``.
 
-    Without the prefix every shard would request the same metric names and
-    the registry would hand all of them one shared instance, silently
-    merging per-shard counts.
+    Without the prefix every shard would register the same metric names:
+    the registry refuses a second view of a name, and would hand every
+    shard one shared histogram, silently merging per-shard samples.
     """
 
     __slots__ = ("_base", "_prefix")
@@ -96,11 +96,8 @@ class _PrefixedMetrics:
     def enabled(self) -> bool:
         return self._base.enabled
 
-    def counter(self, name: str):
-        return self._base.counter(self._prefix + name)
-
-    def gauge(self, name: str):
-        return self._base.gauge(self._prefix + name)
+    def view(self, name: str, read, peak=None) -> None:
+        self._base.view(self._prefix + name, read, peak)
 
     def histogram(self, name: str):
         return self._base.histogram(self._prefix + name)
@@ -352,12 +349,10 @@ class ShardedLogManager(LogManager):
         self.committed_count = 0
         self.aborted_count = 0
         self.kill_count = 0
-        self.killed_tids: List[int] = []
         self.single_shard_commits = 0
         self.cross_shard_commits = 0
-
-        self._m_cross = metrics.counter("shard.cross_shard_commits")
-        self._m_single = metrics.counter("shard.single_shard_commits")
+        metrics.view("shard.cross_shard_commits", lambda: self.cross_shard_commits)
+        metrics.view("shard.single_shard_commits", lambda: self.single_shard_commits)
 
     # ==================================================================
     # LogManager API
@@ -396,7 +391,6 @@ class ShardedLogManager(LogManager):
         tx.on_ack = on_ack
         if len(tx.votes) > 1:
             self.cross_shard_commits += 1
-            self._m_cross.inc()
             if self.trace.enabled:
                 self.trace.emit(
                     self.sim.now,
@@ -406,7 +400,6 @@ class ShardedLogManager(LogManager):
                 )
         else:
             self.single_shard_commits += 1
-            self._m_single.inc()
         for shard_index in sorted(tx.votes):
             if tx.killed:
                 # Appending a COMMIT on an earlier shard advanced a head
@@ -487,7 +480,6 @@ class ShardedLogManager(LogManager):
             if entry is not None and entry.status is TxStatus.ACTIVE:
                 shard.abort(tid)
         self.kill_count += 1
-        self.killed_tids.append(tid)
         if self.on_kill is not None:
             self.on_kill(tid, when)
 

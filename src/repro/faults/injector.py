@@ -42,10 +42,10 @@ class FaultInjector:
         self.torn_writes = 0
         self.latent_errors = 0
         self.flush_faults = 0
-        self._m_transient = metrics.counter("faults.injected.transient_write")
-        self._m_torn = metrics.counter("faults.injected.torn_write")
-        self._m_latent = metrics.counter("faults.injected.latent_error")
-        self._m_flush = metrics.counter("faults.injected.flush_write")
+        metrics.view("faults.injected.transient_write", lambda: self.transient_writes)
+        metrics.view("faults.injected.torn_write", lambda: self.torn_writes)
+        metrics.view("faults.injected.latent_error", lambda: self.latent_errors)
+        metrics.view("faults.injected.flush_write", lambda: self.flush_faults)
 
     # ------------------------------------------------------------------
     # Draws — one uniform per decision point, so the stream advances the
@@ -57,11 +57,9 @@ class FaultInjector:
         plan = self.plan
         if draw < plan.transient_write_rate:
             self.transient_writes += 1
-            self._m_transient.inc()
             return FaultKind.TRANSIENT_WRITE
         if draw < plan.transient_write_rate + plan.torn_write_rate:
             self.torn_writes += 1
-            self._m_torn.inc()
             return FaultKind.TORN_WRITE
         return None
 
@@ -72,7 +70,6 @@ class FaultInjector:
         if draw >= plan.latent_error_rate:
             return None
         self.latent_errors += 1
-        self._m_latent.inc()
         # Second draw only on the (rare) fault path; deterministic because
         # the fault decision itself consumed exactly one uniform.
         return self._latent_rng.random() * plan.latent_delay_seconds
@@ -82,7 +79,6 @@ class FaultInjector:
         if self._flush_rng.random() >= self.plan.flush_fault_rate:
             return False
         self.flush_faults += 1
-        self._m_flush.inc()
         return True
 
     # ------------------------------------------------------------------

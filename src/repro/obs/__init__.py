@@ -3,8 +3,9 @@
 Three cooperating pieces, all disabled by default so the hot paths stay at
 paper speed:
 
-* :mod:`repro.obs.metrics` — named counters, gauges and log-bucketed
-  histograms that merge and report percentiles;
+* :mod:`repro.obs.metrics` — named counters and gauges, read from the
+  components' own counts at snapshot time, and log-bucketed histograms
+  that merge and report percentiles;
 * :mod:`repro.obs.events` — the schema'd event stream (in-memory ring,
   optional JSONL export);
 * :mod:`repro.obs.manifest` — per-run JSON manifests capturing config,
@@ -29,7 +30,6 @@ from typing import TYPE_CHECKING, Any, Dict, Optional
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     NULL_METRICS,
@@ -59,7 +59,6 @@ __all__ = [
     "Counter",
     "EVENT_SCHEMA",
     "EventStream",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_METRICS",

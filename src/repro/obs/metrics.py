@@ -1,16 +1,27 @@
-"""Named counters, gauges and histograms for simulation instrumentation.
+"""Named counters, views and histograms for simulation instrumentation.
 
-A :class:`MetricsRegistry` hands out metric objects by name.  Components
-fetch their metrics once at construction time and update them on the hot
-path; when the registry is disabled it hands out shared no-op singletons,
-so a disabled run pays one dynamic dispatch per update site and allocates
-nothing.
+A :class:`MetricsRegistry` holds metrics by name, in two kinds:
+
+* **Views**, read at snapshot time.  Every simulator count (blocks and
+  bytes written, forwarded, recirculated and garbage records, kills,
+  flushes, fault counts, the flush backlog and buffer occupancy) is an
+  int attribute of the component that counts it; :meth:`MetricsRegistry.view`
+  binds a name to a function that reads that int (and, for a gauge, its
+  peak).  Nothing runs on the hot path.  The rule for a new simulator
+  count: an int plus a view, never an int plus a :class:`Counter`.
+* **Pushed** metrics, updated where the event happens: the histograms
+  (``flush.seek_distance``, ``flush.settle_seconds``, ``log.block_records``,
+  ``*.gap_blocks_processed``) and the live server's registry-only
+  ``server.*`` and ``log.*`` counters, which have no int twin.
+
+A disabled registry registers no views and hands out shared no-op
+counters and histograms, so a disabled run allocates nothing.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -20,6 +31,9 @@ BUCKETS_PER_DOUBLING = 16
 
 #: Bucket key shared by every value <= 0 (sorts before all others).
 ZERO_BUCKET = -math.inf
+
+#: Reads a component's count when a snapshot is taken.
+Reader = Callable[[], float]
 
 _log2 = math.log2
 _floor = math.floor
@@ -44,26 +58,32 @@ class Counter:
         return f"<Counter {self.name}={self.value}>"
 
 
-class Gauge:
-    """A point-in-time value with peak tracking."""
+class View:
+    """A count read from its owner at snapshot time: a counter, or a gauge
+    when ``peak`` is given."""
 
-    __slots__ = ("name", "value", "peak")
+    __slots__ = ("name", "_read", "_peak")
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, read: Reader, peak: Optional[Reader] = None):
         self.name = name
-        self.value = 0.0
-        self.peak = 0.0
+        self._read = read
+        self._peak = peak
 
-    def set(self, value: float) -> None:
-        self.value = value
-        if value > self.peak:
-            self.peak = value
+    @property
+    def value(self) -> float:
+        return self._read()
+
+    @property
+    def peak(self) -> Optional[float]:
+        return None if self._peak is None else self._peak()
 
     def snapshot(self) -> dict:
-        return {"type": "gauge", "value": self.value, "peak": self.peak}
+        if self._peak is None:
+            return {"type": "counter", "value": self._read()}
+        return {"type": "gauge", "value": self._read(), "peak": self._peak()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Gauge {self.name}={self.value} peak={self.peak}>"
+        return f"<View {self.name}={self.value}>"
 
 
 class Histogram:
@@ -178,13 +198,6 @@ class _NullCounter(Counter):
         pass
 
 
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:
-        pass
-
-
 class _NullHistogram(Histogram):
     __slots__ = ()
 
@@ -194,45 +207,55 @@ class _NullHistogram(Histogram):
 
 #: Shared no-op instances a disabled registry hands out.
 NULL_COUNTER = _NullCounter("null")
-NULL_GAUGE = _NullGauge("null")
 NULL_HISTOGRAM = _NullHistogram("null")
 
 
 class MetricsRegistry:
-    """Creates and holds named metrics; disabled registries hand out no-ops.
+    """Holds named metrics; a disabled registry holds none.
 
     Names are dot-namespaced (``"el.forwarded"``, ``"flush.depth"``,
-    ``"log.gen0.blocks_written"``).  Re-requesting a name returns the same
-    instance; requesting it as a different metric type raises.
+    ``"log.gen0.blocks_written"``).  Re-requesting a counter or histogram
+    returns the same instance; requesting a name as a different metric
+    type, or viewing a name twice, raises.
     """
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
         self._metrics: Dict[str, object] = {}
 
-    def _get(self, name: str, factory, null, kind):
+    def _get(self, name: str, kind, null):
         if not self.enabled:
             return null
         existing = self._metrics.get(name)
-        if existing is not None:
-            if not isinstance(existing, kind):
-                raise ConfigurationError(
-                    f"metric {name!r} already registered as "
-                    f"{type(existing).__name__}"
-                )
-            return existing
-        metric = factory()
-        self._metrics[name] = metric
-        return metric
+        if existing is None:
+            existing = self._metrics[name] = kind(name)
+        elif type(existing) is not kind:
+            self._conflict(name)
+        return existing
+
+    def _conflict(self, name: str) -> None:
+        raise ConfigurationError(
+            f"metric {name!r} already registered as "
+            f"{type(self._metrics[name]).__name__}"
+        )
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, lambda: Counter(name), NULL_COUNTER, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, lambda: Gauge(name), NULL_GAUGE, Gauge)
+        return self._get(name, Counter, NULL_COUNTER)
 
     def histogram(self, name: str) -> Histogram:
-        return self._get(name, lambda: Histogram(name), NULL_HISTOGRAM, Histogram)
+        return self._get(name, Histogram, NULL_HISTOGRAM)
+
+    def view(self, name: str, read: Reader, peak: Optional[Reader] = None) -> None:
+        """Report ``read()`` (and ``peak()``, making it a gauge) as ``name``.
+
+        The functions run only when the metric is read; a disabled
+        registry ignores the call.
+        """
+        if not self.enabled:
+            return
+        if name in self._metrics:
+            self._conflict(name)
+        self._metrics[name] = View(name, read, peak)
 
     def get(self, name: str) -> Optional[object]:
         """The metric registered under ``name``, or ``None``."""

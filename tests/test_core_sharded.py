@@ -199,13 +199,21 @@ class TestAbortAndKill:
             34, runtime=25.0, arrival_rate=200.0, shards=2
         )
         simulation = Simulation(config)
-        result = simulation.run()
         manager = simulation.manager
+        killed = []
+        workload_on_kill = manager.on_kill
+
+        def record_kill(tid, when):
+            killed.append(tid)
+            workload_on_kill(tid, when)
+
+        manager.on_kill = record_kill
+        result = simulation.run()
         assert result.transactions_killed > 0
         assert manager.kill_count == result.transactions_killed
-        assert len(manager.killed_tids) == manager.kill_count
-        assert len(set(manager.killed_tids)) == manager.kill_count
-        for tid in manager.killed_tids:
+        assert len(killed) == manager.kill_count
+        assert len(set(killed)) == manager.kill_count
+        for tid in killed:
             assert tid not in manager._txes
         manager.check_invariants()
 
@@ -255,9 +263,21 @@ class TestAggregateViews:
         metrics = MetricsRegistry(enabled=True)
         harness = ShardedHarness(metrics=metrics)
         shard0, shard1 = harness.manager.shards
-        assert metrics.counter("s0.el.forwarded") is shard0._m_forwarded
-        assert metrics.counter("s1.el.forwarded") is shard1._m_forwarded
-        assert shard0._m_forwarded is not shard1._m_forwarded
+        assert "el.forwarded" not in metrics.names()
+        tid = harness.begin()
+        harness.update(tid, oid=1)  # oid 1 lives on shard 0 only
+        harness.commit(tid)
+        harness.manager.drain()
+        harness.settle()
+        assert metrics.get("s0.flush.submitted").value == 1
+        assert metrics.get("s1.flush.submitted").value == 0
+        for index, shard in enumerate((shard0, shard1)):
+            assert metrics.get(f"s{index}.el.forwarded").value == shard.forwarded_records
+            assert (
+                metrics.get(f"s{index}.log.gen0.blocks_written").value
+                == shard.generations[0].blocks_written
+            )
+        assert shard0.generations[0].blocks_written > 0
 
     def test_merged_settle_histogram_counts_every_shard(self):
         config = SimulationConfig.ephemeral(

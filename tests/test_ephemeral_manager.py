@@ -199,7 +199,7 @@ class TestHeadAdvancement:
         harness.update(long_tx, oid=1)
         self._stream_short_transactions(harness, 60)
         assert harness.manager.kill_count >= 1
-        assert long_tx in harness.manager.killed_tids
+        assert long_tx in [tid for tid, _ in harness.kills]
 
     def test_forbid_policy_raises_instead_of_killing(self):
         harness = ManualHarness(

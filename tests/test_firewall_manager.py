@@ -72,7 +72,7 @@ class TestFirewallSemantics:
                 harness.commit(tid)
             if i % 4 == 3:
                 harness.settle(0.05)
-        assert long_tx in harness.manager.killed_tids
+        assert long_tx in [tid for tid, _ in harness.kills]
 
     def test_committed_work_survives_when_space_suffices(self):
         harness = make_fw(log_blocks=12)

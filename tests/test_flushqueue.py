@@ -187,7 +187,7 @@ class TestBacklogAccounting:
         assert scheduler.flush_requeues == 1
         assert scheduler.backlog() == 2
         assert scheduler.peak_backlog == 2
-        depth = metrics.gauge("flush.depth")
+        depth = metrics.get("flush.depth")
         assert (depth.value, depth.peak) == (2, 2)
         sim.run()
         assert scheduler.backlog() == 0 and depth.value == 0
@@ -198,7 +198,7 @@ class TestBacklogAccounting:
         scheduler, _, _ = make_scheduler(sim, drives=1, metrics=metrics)
         for lsn, oid in enumerate((1, 2, 3)):
             scheduler.submit(live_record(lsn, oid))
-        depth = metrics.gauge("flush.depth")
+        depth = metrics.get("flush.depth")
         assert depth.value == 2
         scheduler.cancel(2)
         assert depth.value == 1

@@ -52,7 +52,8 @@ class TestCommitPromotion:
     def test_promote_without_predecessor(self):
         lot = LoggedObjectTable()
         cell = add_update(lot, tid=1, oid=5)
-        superseded = lot.promote_on_commit(1, 5)
+        promoted, superseded = lot.promote_on_commit(1, 5)
+        assert promoted is cell
         assert superseded is None
         entry = lot.get(5)
         assert entry is not None and entry.committed_cell is cell
@@ -63,7 +64,8 @@ class TestCommitPromotion:
         old = add_update(lot, tid=1, oid=5, lsn=0)
         lot.promote_on_commit(1, 5)
         new = add_update(lot, tid=2, oid=5, lsn=1)
-        superseded = lot.promote_on_commit(2, 5)
+        promoted, superseded = lot.promote_on_commit(2, 5)
+        assert promoted is new
         assert superseded is old
         entry = lot.get(5)
         assert entry is not None and entry.committed_cell is new
@@ -84,7 +86,7 @@ class TestFlushAndAbort:
         lot = LoggedObjectTable()
         cell = add_update(lot, tid=1, oid=5)
         lot.promote_on_commit(1, 5)
-        dropped = lot.drop_committed(5)
+        dropped = lot.drop_committed(lot.get(5))
         assert dropped is cell
         assert 5 not in lot  # entry became empty and was pruned
 
@@ -93,14 +95,14 @@ class TestFlushAndAbort:
         add_update(lot, tid=1, oid=5, lsn=0)
         lot.promote_on_commit(1, 5)
         add_update(lot, tid=2, oid=5, lsn=1)
-        lot.drop_committed(5)
+        lot.drop_committed(lot.get(5))
         assert 5 in lot  # tx 2's uncommitted cell keeps the entry alive
 
     def test_drop_committed_without_one_raises(self):
         lot = LoggedObjectTable()
         add_update(lot, tid=1, oid=5)
         with pytest.raises(SimulationError):
-            lot.drop_committed(5)
+            lot.drop_committed(lot.get(5))
 
     def test_drop_uncommitted_on_abort(self):
         lot = LoggedObjectTable()
@@ -117,9 +119,6 @@ class TestFlushAndAbort:
         lot = LoggedObjectTable()
         with pytest.raises(SimulationError):
             lot.drop_uncommitted(1, 5)
-
-    def test_prune_noop_for_unknown_oid(self):
-        LoggedObjectTable().prune(42)  # must not raise
 
     def test_entries_iteration(self):
         lot = LoggedObjectTable()

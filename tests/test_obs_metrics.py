@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: counters, gauges and histograms."""
+"""Tests for the metrics registry: counters, views and histograms."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     NULL_COUNTER,
-    NULL_GAUGE,
     NULL_HISTOGRAM,
     NULL_METRICS,
     Counter,
-    Gauge,
     ZERO_BUCKET,
     Histogram,
     MetricsRegistry,
@@ -31,18 +29,29 @@ class TestCounter:
         assert counter.snapshot() == {"type": "counter", "value": 2}
 
 
-class TestGauge:
-    def test_set_tracks_peak(self):
-        gauge = Gauge("g")
-        gauge.set(3.0)
-        gauge.set(1.0)
-        assert gauge.value == 1.0
-        assert gauge.peak == 3.0
+class TestView:
+    def test_reads_its_owner_when_read(self):
+        owner = {"count": 0}
+        registry = MetricsRegistry()
+        registry.view("c", lambda: owner["count"])
+        owner["count"] = 7
+        assert registry.get("c").value == 7
+        assert registry.snapshot() == {"c": {"type": "counter", "value": 7}}
 
-    def test_snapshot(self):
-        gauge = Gauge("g")
-        gauge.set(2.5)
-        assert gauge.snapshot() == {"type": "gauge", "value": 2.5, "peak": 2.5}
+    def test_peak_makes_a_gauge(self):
+        registry = MetricsRegistry()
+        registry.view("g", lambda: 1, lambda: 3)
+        view = registry.get("g")
+        assert (view.value, view.peak) == (1, 3)
+        assert view.snapshot() == {"type": "gauge", "value": 1, "peak": 3}
+
+    def test_second_view_of_a_name_raises(self):
+        registry = MetricsRegistry()
+        registry.view("a", lambda: 0)
+        with pytest.raises(ConfigurationError):
+            registry.view("a", lambda: 1)
+        with pytest.raises(ConfigurationError):
+            registry.counter("a")
 
 
 class TestHistogram:
@@ -76,21 +85,21 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("a")
         with pytest.raises(ConfigurationError):
-            registry.gauge("a")
+            registry.histogram("a")
+        with pytest.raises(ConfigurationError):
+            registry.view("a", lambda: 0)
 
     def test_disabled_registry_hands_out_nulls(self):
         registry = MetricsRegistry(enabled=False)
         assert registry.counter("a") is NULL_COUNTER
-        assert registry.gauge("b") is NULL_GAUGE
         assert registry.histogram("c") is NULL_HISTOGRAM
+        registry.view("b", lambda: 1)
         assert len(registry) == 0
 
     def test_null_metrics_mutators_are_noops(self):
         NULL_METRICS.counter("x").inc(100)
-        NULL_METRICS.gauge("y").set(9.0)
         NULL_METRICS.histogram("z").observe(1.0)
         assert NULL_COUNTER.value == 0
-        assert NULL_GAUGE.value == 0.0
         assert NULL_HISTOGRAM.count == 0
 
     def test_snapshot_is_sorted_and_json_ready(self):
@@ -98,7 +107,7 @@ class TestMetricsRegistry:
 
         registry = MetricsRegistry()
         registry.counter("b").inc()
-        registry.gauge("a").set(1.0)
+        registry.view("a", lambda: 1.0, lambda: 2.0)
         registry.histogram("c").observe(0.5)
         snapshot = registry.snapshot()
         assert list(snapshot) == ["a", "b", "c"]
