@@ -534,14 +534,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await task
 
     asyncio.run(_serve())
-    counters = server.counters()
-    print(f"begun                : {counters['server.begins']}")
-    print(f"commits acked        : {counters['server.commits_acked']}")
-    print(f"aborted              : {counters['server.aborts']}")
-    print(f"killed               : {counters['server.kills']}")
-    print(f"rejected             : {counters['server.rejections']}")
-    print(f"log blocks written   : {counters['log.blocks_written']}")
-    print(f"log fsyncs           : {counters['log.fsyncs']}")
+    manager = server.manager
+    print(f"begun                : {manager.begun_count}")
+    print(f"commits acked        : {server.commits_acked}")
+    print(f"aborted              : {server.aborts}")
+    print(f"killed               : {server.kills_observed}")
+    print(f"rejected             : {server.rejections}")
+    print(f"log blocks written   : {manager.log_blocks_written()}")
+    print(f"log fsyncs           : {server.metrics.get('log.fsyncs').value}")
     print(f"manifest             : {server.log_dir / 'server-manifest.json'}")
     return 0
 

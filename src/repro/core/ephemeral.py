@@ -194,8 +194,18 @@ class EphemeralLogManager(LogManager):
         #: :meth:`_route_head_records`).
         self.emergency_recirculations = 0
 
+        metrics.view(f"{source}.begun", lambda: self.begun_count)
+        metrics.view(f"{source}.committed", lambda: self.committed_count)
+        metrics.view(f"{source}.aborted", lambda: self.aborted_count)
         metrics.view(f"{source}.forwarded", lambda: self.forwarded_records)
         metrics.view(f"{source}.recirculated", lambda: self.recirculated_records)
+        metrics.view(
+            f"{source}.emergency_recirculations", lambda: self.emergency_recirculations
+        )
+        metrics.view(f"{source}.pressure_episodes", lambda: self.pressure_episodes)
+        metrics.view(
+            f"{source}.forced_migration_seals", lambda: self.forced_migration_seals
+        )
         # Demand flushes of the head-routing fates; the scheduler's count
         # also holds the fault path's stabilising flushes.
         metrics.view(
@@ -290,35 +300,6 @@ class EphemeralLogManager(LogManager):
 
     def total_log_capacity(self) -> int:
         return sum(g.capacity for g in self.generations)
-
-    def blocks_written_by_generation(self) -> List[int]:
-        return [g.blocks_written for g in self.generations]
-
-    def counters_snapshot(self) -> Dict[str, object]:
-        """All manager-level counters as one JSON-ready dict (for manifests)."""
-        snapshot: Dict[str, object] = {
-            "fresh_records": self.fresh_records,
-            "forwarded_records": self.forwarded_records,
-            "recirculated_records": self.recirculated_records,
-            "emergency_recirculations": self.emergency_recirculations,
-            "garbage_copies_discarded": self.garbage_copies_discarded,
-            "begun": self.begun_count,
-            "committed": self.committed_count,
-            "aborted": self.aborted_count,
-            "kills": self.kill_count,
-            "pressure_episodes": self.pressure_episodes,
-            "forced_migration_seals": self.forced_migration_seals,
-            "blocks_written_by_generation": self.blocks_written_by_generation(),
-            "bytes_written_by_generation": [
-                g.bytes_written for g in self.generations
-            ],
-            "buffer_peak_in_use": [g.pool.peak_in_use for g in self.generations],
-            "buffer_overdrafts": [g.pool.overdrafts for g in self.generations],
-            "flush": self.scheduler.counters_snapshot(),
-        }
-        if self._fault_mode:
-            snapshot["faults"] = self.fault_report()
-        return snapshot
 
     def drain(self) -> None:
         """Seal every open buffer (used before crash points and at shutdown)."""

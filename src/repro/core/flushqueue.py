@@ -133,7 +133,8 @@ class FlushScheduler:
         metrics.view("flush.completed", lambda: self.completed)
         metrics.view("flush.demand", lambda: self.demand_flushes)
         metrics.view("flush.depth", lambda: self._backlog, lambda: self.peak_backlog)
-        self._m_seek = metrics.histogram("flush.seek_distance")
+        metrics.view("flush.superseded", lambda: self.superseded_in_pool)
+        metrics.view("flush.seek_distance", self.mean_seek_distance)
         self._m_settle = metrics.histogram("flush.settle_seconds")
         # Submit time per record LSN, kept only while metrics are on: it
         # feeds the settle-latency histogram (submit -> installed).  Keyed
@@ -208,8 +209,6 @@ class FlushScheduler:
         drive.stats.record_write(0.0, seek)
         drive.position = record.oid
         self.demand_flushes += 1
-        if seek is not None:
-            self._m_seek.observe(seek)
         if self.trace.enabled:
             self.trace.emit(
                 self.sim.now,
@@ -234,28 +233,6 @@ class FlushScheduler:
         total = sum(d.stats.seek_distance_total for d in self.drives)
         samples = sum(d.stats.seek_samples for d in self.drives)
         return total / samples if samples else 0.0
-
-    def counters_snapshot(self) -> dict:
-        """Scheduler-level counters as one JSON-ready dict (for manifests)."""
-        data = {
-            "submitted": self.submitted,
-            "superseded_in_pool": self.superseded_in_pool,
-            "demand_flushes": self.demand_flushes,
-            "completed": self.completed,
-            "peak_backlog": self.peak_backlog,
-            "backlog": self.backlog(),
-            "mean_seek_distance": self.mean_seek_distance(),
-        }
-        if self.faults.enabled:
-            data["flush_requeues"] = self.flush_requeues
-        return data
-
-    def drive_report(self, elapsed_seconds: float) -> list[dict]:
-        """Per-drive utilisation and locality (the paper's drive-side view)."""
-        return [
-            dict(drive.stats.as_dict(), utilisation=drive.stats.utilisation(elapsed_seconds))
-            for drive in self.drives
-        ]
 
     # ------------------------------------------------------------------
     # Internals
@@ -283,8 +260,6 @@ class FlushScheduler:
             return
         record, seek = pool.take_nearest(drive.position)
         self._backlog -= 1
-        if seek is not None:
-            self._m_seek.observe(seek)
         # Bound methods plus pass-through arguments: no closure per flush.
         drive.write(
             record.oid,

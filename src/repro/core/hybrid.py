@@ -183,6 +183,9 @@ class HybridLogManager(LogManager):
         self.kill_count = 0
         self.regenerated_records = 0
         self.fresh_records = 0
+        metrics.view("hybrid.begun", lambda: self.begun_count)
+        metrics.view("hybrid.committed", lambda: self.committed_count)
+        metrics.view("hybrid.aborted", lambda: self.aborted_count)
         metrics.view("hybrid.regenerated", lambda: self.regenerated_records)
         metrics.view("hybrid.kills", lambda: self.kill_count)
 
@@ -239,19 +242,6 @@ class HybridLogManager(LogManager):
 
     def live_transactions(self) -> int:
         return sum(1 for e in self._entries.values() if e.is_live)
-
-    def counters_snapshot(self) -> Dict[str, object]:
-        """Manager-level counters as one JSON-ready dict (for manifests)."""
-        return {
-            "begun": self.begun_count,
-            "committed": self.committed_count,
-            "kills": self.kill_count,
-            "regenerated_records": self.regenerated_records,
-            "blocks_written_by_generation": [
-                q.blocks_written for q in self.generations
-            ],
-            "flush": self.scheduler.counters_snapshot(),
-        }
 
     def durable_images(self) -> List[BlockImage]:
         """All block images currently on disk — the crash-recovery input."""

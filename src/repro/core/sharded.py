@@ -53,7 +53,7 @@ from repro.disk.partition import RangePartitioner
 from repro.errors import ConfigurationError, SimulationError
 from repro.faults.plan import FaultPlan
 from repro.obs.events import NULL_TRACE, EventStream
-from repro.obs.metrics import Histogram, MetricsRegistry, NULL_METRICS
+from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.records.base import next_lsn_factory
 from repro.records.data import DataLogRecord
 from repro.sim.engine import Simulator
@@ -152,10 +152,6 @@ class _AggregateFlushView:
         return sum(s.completed for s in self._schedulers)
 
     @property
-    def submitted(self) -> int:
-        return sum(s.submitted for s in self._schedulers)
-
-    @property
     def demand_flushes(self) -> int:
         return sum(s.demand_flushes for s in self._schedulers)
 
@@ -166,16 +162,8 @@ class _AggregateFlushView:
         return sum(s.peak_backlog for s in self._schedulers)
 
     @property
-    def flush_requeues(self) -> int:
-        return sum(s.flush_requeues for s in self._schedulers)
-
-    @property
     def drives(self):
         return [d for s in self._schedulers for d in s.drives]
-
-    @property
-    def max_rate(self) -> float:
-        return sum(s.max_rate for s in self._schedulers)
 
     def mean_seek_distance(self) -> float:
         total = sum(
@@ -185,29 +173,6 @@ class _AggregateFlushView:
             d.stats.seek_samples for s in self._schedulers for d in s.drives
         )
         return total / samples if samples else 0.0
-
-    def counters_snapshot(self) -> dict:
-        per_shard = [s.counters_snapshot() for s in self._schedulers]
-        data = {
-            "submitted": sum(p["submitted"] for p in per_shard),
-            "superseded_in_pool": sum(p["superseded_in_pool"] for p in per_shard),
-            "demand_flushes": sum(p["demand_flushes"] for p in per_shard),
-            "completed": sum(p["completed"] for p in per_shard),
-            "peak_backlog": self.peak_backlog,
-            "backlog": self.backlog(),
-            "mean_seek_distance": self.mean_seek_distance(),
-            "per_shard": per_shard,
-        }
-        if any("flush_requeues" in p for p in per_shard):
-            data["flush_requeues"] = self.flush_requeues
-        return data
-
-    def drive_report(self, elapsed_seconds: float) -> list:
-        report = []
-        for shard_index, scheduler in enumerate(self._schedulers):
-            for entry in scheduler.drive_report(elapsed_seconds):
-                report.append(dict(entry, shard=shard_index))
-        return report
 
 
 class _AggregateFaultView:
@@ -298,7 +263,6 @@ class ShardedLogManager(LogManager):
         self.shard_count = shard_count
         self.technique = technique
         self.trace = trace
-        self.metrics = metrics
         #: tx -> shard routing reuses the flush layer's range geometry: the
         #: shard owning an update is the shard owning its object.
         self.router = RangePartitioner(database.num_objects, shard_count)
@@ -351,6 +315,10 @@ class ShardedLogManager(LogManager):
         self.kill_count = 0
         self.single_shard_commits = 0
         self.cross_shard_commits = 0
+        metrics.view("shard.begun", lambda: self.begun_count)
+        metrics.view("shard.committed", lambda: self.committed_count)
+        metrics.view("shard.aborted", lambda: self.aborted_count)
+        metrics.view("shard.kills", lambda: self.kill_count)
         metrics.view("shard.cross_shard_commits", lambda: self.cross_shard_commits)
         metrics.view("shard.single_shard_commits", lambda: self.single_shard_commits)
 
@@ -512,10 +480,6 @@ class ShardedLogManager(LogManager):
         return sum(s.recirculated_records for s in self.shards)
 
     @property
-    def emergency_recirculations(self) -> int:
-        return sum(s.emergency_recirculations for s in self.shards)
-
-    @property
     def garbage_copies_discarded(self) -> int:
         return sum(s.garbage_copies_discarded for s in self.shards)
 
@@ -527,9 +491,6 @@ class ShardedLogManager(LogManager):
 
     def total_log_capacity(self) -> int:
         return sum(s.total_log_capacity() for s in self.shards)
-
-    def blocks_written_by_generation(self) -> List[int]:
-        return [n for s in self.shards for n in s.blocks_written_by_generation()]
 
     def drain(self) -> None:
         for shard in self.shards:
@@ -550,53 +511,6 @@ class ShardedLogManager(LogManager):
                         f"tx {tid} began on shard {shard_index} but has no "
                         f"LTT entry there"
                     )
-
-    def merged_metric_histogram(self, suffix: str) -> Optional[Histogram]:
-        """The cross-shard distribution of a per-shard histogram metric.
-
-        Per-shard metrics are registered under ``s{i}.<suffix>`` (see
-        :class:`_PrefixedMetrics`); this merges the N per-shard histograms,
-        so sharded runs report e.g. a single flush-settle latency histogram
-        whose percentiles reflect every shard's flushes.  ``None`` when
-        metrics are disabled or no shard has registered the metric.
-        """
-        parts = [
-            hist
-            for hist in (self.metrics.get(f"s{i}.{suffix}") for i in range(self.shard_count))
-            if isinstance(hist, Histogram)
-        ]
-        if not parts:
-            return None
-        return Histogram.merged(parts)
-
-    def counters_snapshot(self) -> Dict[str, object]:
-        """Aggregate counters plus the per-shard breakdown (for manifests)."""
-        snapshot: Dict[str, object] = {
-            "shards": self.shard_count,
-            "technique": self.technique,
-            "fresh_records": self.fresh_records,
-            "forwarded_records": self.forwarded_records,
-            "recirculated_records": self.recirculated_records,
-            "emergency_recirculations": self.emergency_recirculations,
-            "garbage_copies_discarded": self.garbage_copies_discarded,
-            "begun": self.begun_count,
-            "committed": self.committed_count,
-            "aborted": self.aborted_count,
-            "kills": self.kill_count,
-            "single_shard_commits": self.single_shard_commits,
-            "cross_shard_commits": self.cross_shard_commits,
-            "blocks_written_by_generation": self.blocks_written_by_generation(),
-            "flush": self.scheduler.counters_snapshot(),
-            "per_shard": [s.counters_snapshot() for s in self.shards],
-        }
-        settle = self.merged_metric_histogram("flush.settle_seconds")
-        if settle is not None:
-            # One distribution across every shard's flushes (the per-shard
-            # metric snapshots stay available in the registry).
-            snapshot["flush"]["settle_seconds"] = settle.snapshot()
-        if self.faults.enabled:
-            snapshot["faults"] = self.fault_report()
-        return snapshot
 
     def fault_report(self) -> Dict[str, object]:
         """Shard-summed view of the per-shard fault/self-healing reports."""

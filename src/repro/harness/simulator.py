@@ -105,15 +105,6 @@ class Simulation:
     def _flush_backlog(self) -> float:
         return float(self.manager.scheduler.backlog())
 
-    def _manager_counters(self, result: SimulationResult) -> dict:
-        """Manifest counter block: manager counters plus the drive view."""
-        counters = self.manager.counters_snapshot()
-        elapsed = max(self.sim.now, 1e-9)
-        counters["drives"] = self.manager.scheduler.drive_report(elapsed)
-        counters["transactions_killed"] = result.transactions_killed
-        counters["events_executed"] = result.events_executed
-        return counters
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -161,7 +152,6 @@ class Simulation:
             seed=self.config.seed,
             config=self.config.to_json_dict(),
             sim=self.sim.snapshot(),
-            counters=self._manager_counters(result),
             wall_seconds=wall,
         )
         return result

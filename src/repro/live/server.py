@@ -26,9 +26,13 @@ Three service-level mechanisms surround the manager:
   up to :data:`DRAIN_GRACE_SECONDS`, seals and syncs the log, and writes a
   run manifest.
 
-Every count and latency the service keeps (``server.*``, and the
-storage's ``log.*``) lives in the server's one :class:`MetricsRegistry`,
-next to the manager's own metrics.
+Every count and latency lives in the server's one
+:class:`MetricsRegistry`.  Transaction outcomes and log blocks are the
+manager's own counts, under the names the simulator reports
+(``el.committed``, ``el.kills``, ``log.gen0.blocks_written``, ...); only
+what the manager cannot see is the service's: ``server.*`` (rejections,
+protocol and internal errors, commit latency) and the storage's
+``log.*`` (encoded bytes, fsyncs, write latency).
 """
 
 from __future__ import annotations
@@ -69,18 +73,15 @@ FLUSH_WRITE_SECONDS = 0.002
 #: queued log writes, before it gives up on them.
 DRAIN_GRACE_SECONDS = 10.0
 
-#: The service's own metrics; :meth:`LiveServer.counters` and the
-#: manifest's counter block report exactly these.
+#: The metrics only the service keeps (the manager's own, such as
+#: ``el.committed`` or ``log.gen0.blocks_written``, are the simulator's
+#: names); :meth:`LiveServer.counters` and the manifest's counter block
+#: report exactly these.
 SERVICE_METRICS = (
-    "server.begins",
-    "server.commits_acked",
-    "server.aborts",
-    "server.kills",
     "server.rejections",
     "server.protocol_errors",
     "server.internal_errors",
     "server.commit_latency",
-    "log.blocks_written",
     "log.bytes_written",
     "log.fsyncs",
     "log.write_latency",
@@ -150,10 +151,6 @@ class LiveServer:
         self._stopped = asyncio.Event()
 
         metrics = self.metrics
-        self._begins = metrics.counter("server.begins")
-        self._commits_acked = metrics.counter("server.commits_acked")
-        self._aborts = metrics.counter("server.aborts")
-        self._kills = metrics.counter("server.kills")
         self._rejections = metrics.counter("server.rejections")
         self._protocol_errors = metrics.counter("server.protocol_errors")
         self._internal_errors = metrics.counter("server.internal_errors")
@@ -161,15 +158,15 @@ class LiveServer:
 
     @property
     def commits_acked(self) -> int:
-        return self._commits_acked.value
+        return self.manager.committed_count
 
     @property
     def aborts(self) -> int:
-        return self._aborts.value
+        return self.manager.aborted_count
 
     @property
     def kills_observed(self) -> int:
-        return self._kills.value
+        return self.manager.kill_count
 
     @property
     def rejections(self) -> int:
@@ -342,7 +339,6 @@ class LiveServer:
         if not tx.commit_pending and not tx.killed:
             try:
                 self.manager.abort(tx.tid)
-                self._aborts.inc()
             except ReproError:
                 self._refused(tx)
         self._finish(tx)
@@ -397,7 +393,6 @@ class LiveServer:
             return
         self._txes[tid] = _LiveTx(tid, writer, conn_tids)
         conn_tids.add(tid)
-        self._begins.inc()
         protocol.write_frame(
             writer, protocol.encode_begin_ok(protocol.STATUS_OK, client_ref, tid)
         )
@@ -445,7 +440,6 @@ class LiveServer:
 
         def on_ack(acked_tid: int, ack_time: float) -> None:
             self._commits_pending -= 1
-            self._commits_acked.inc()
             self._commit_latency.observe(ack_time - requested_at)
             self._finish(tx)
             if not tx.writer.is_closing():
@@ -480,7 +474,6 @@ class LiveServer:
                 writer, protocol.encode_abort_ok(self._refused(tx), tid)
             )
             return
-        self._aborts.inc()
         self._finish(tx)
         protocol.write_frame(
             writer, protocol.encode_abort_ok(protocol.STATUS_OK, tid)
@@ -522,7 +515,6 @@ class LiveServer:
     # ------------------------------------------------------------------
     def _handle_kill(self, tid: int, _time: float) -> None:
         """The manager killed a transaction to reclaim log space."""
-        self._kills.inc()
         tx = self._txes.get(tid)
         if tx is None:
             return

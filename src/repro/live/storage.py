@@ -20,8 +20,10 @@ Durability model: log writes are ``os.pwrite`` + ``fsync`` batched on a
 bounded thread pool of :data:`IO_WORKERS` threads — one fsync covers every
 block queued behind it (group fsync coalescing).  fsync is always on.
 Every drive counts into the server's one metrics registry
-(``log.blocks_written``, ``log.bytes_written``, ``log.fsyncs`` and the
-``log.write_latency`` histogram), from the event-loop thread only.
+(``log.bytes_written`` — encoded slot bytes, not the generations'
+accounting bytes — ``log.fsyncs`` and the ``log.write_latency``
+histogram), from the event-loop thread only; blocks written are the
+generations' own ``log.gen{g}.blocks_written``.
 Database installs are a synchronous ``pwrite`` of a fixed 32-byte object
 slot with *no* fsync on the hot path: a page-cache write survives process
 death (SIGKILL), which is the crash model the recovery acceptance test
@@ -232,7 +234,6 @@ class FileBackedDrive:
         self._pump_scheduled = False
 
         # Shared by every drive of the registry; touched on the loop thread.
-        self._m_blocks = metrics.counter("log.blocks_written")
         self._m_bytes = metrics.counter("log.bytes_written")
         self._m_fsyncs = metrics.counter("log.fsyncs")
         self._m_latency = metrics.histogram("log.write_latency")
@@ -247,7 +248,6 @@ class FileBackedDrive:
                 f"slot {slot} outside drive capacity {self.capacity_blocks}"
             )
         payload = encode_slot(image, shard=self.shard, generation=self.generation)
-        self._m_blocks.inc()
         self._m_bytes.inc(len(payload))
         entry = (slot * SLOT_BYTES, payload, on_durable, self.scheduler.now)
         with self._lock:

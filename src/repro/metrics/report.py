@@ -125,9 +125,6 @@ def format_manifest(data: Dict) -> str:
         lines.append("  counters:")
         for key, value in scalar.items():
             lines.append(f"    {key:<28}: {_cell(value)}")
-    blocks = counters.get("blocks_written_by_generation")
-    if isinstance(blocks, list):
-        lines.append(f"    blocks_written_by_generation: {blocks}")
     metrics = data.get("metrics") or {}
     if metrics:
         lines.append("")

@@ -93,7 +93,8 @@ class ObsConfig:
     ``trace_capacity``); ``jsonl_path`` additionally streams every event
     to a JSON Lines file (and implies tracing); ``metrics`` turns the
     registry on; ``manifest_path`` writes a run manifest at the end of the
-    run.  ``strict_schema`` makes unregistered event kinds an error.
+    run (and turns the registry on too: the manifest's counts are its
+    snapshot).  ``strict_schema`` makes unregistered event kinds an error.
     """
 
     trace: bool = False
@@ -146,7 +147,11 @@ class Observability:
             if self.config.trace_enabled
             else NULL_TRACE
         )
-        self.metrics = MetricsRegistry(enabled=True) if self.config.metrics else NULL_METRICS
+        self.metrics = (
+            MetricsRegistry(enabled=True)
+            if self.config.metrics or self.config.manifest_path is not None
+            else NULL_METRICS
+        )
         self._started_wall = time.perf_counter()
 
     def close(self) -> None:

@@ -2,17 +2,22 @@
 
 A :class:`MetricsRegistry` holds metrics by name, in two kinds:
 
-* **Views**, read at snapshot time.  Every simulator count (blocks and
-  bytes written, forwarded, recirculated and garbage records, kills,
-  flushes, fault counts, the flush backlog and buffer occupancy) is an
-  int attribute of the component that counts it; :meth:`MetricsRegistry.view`
-  binds a name to a function that reads that int (and, for a gauge, its
-  peak).  Nothing runs on the hot path.  The rule for a new simulator
+* **Views**, read at snapshot time.  Every count a log manager keeps
+  (transactions begun, committed, aborted and killed, blocks and bytes
+  written, forwarded, recirculated and garbage records, flushes, fault
+  counts, the flush backlog and buffer occupancy) is an int attribute of
+  the component that counts it; :meth:`MetricsRegistry.view` binds a
+  name to a function that reads that int (and, for a gauge, its peak).
+  Nothing runs on the hot path, and the simulator and the live server
+  report a manager's counts under the same names.  The rule for a new
   count: an int plus a view, never an int plus a :class:`Counter`.
 * **Pushed** metrics, updated where the event happens: the histograms
-  (``flush.seek_distance``, ``flush.settle_seconds``, ``log.block_records``,
-  ``*.gap_blocks_processed``) and the live server's registry-only
-  ``server.*`` and ``log.*`` counters, which have no int twin.
+  (``flush.settle_seconds``, ``log.block_records``,
+  ``*.gap_blocks_processed``) and the live server's own ``server.*`` and
+  storage ``log.*`` metrics, which no manager counts.
+
+A simulated run's manifest carries its counts in the registry snapshot
+and nowhere else.
 
 A disabled registry registers no views and hands out shared no-op
 counters and histograms, so a disabled run allocates nothing.

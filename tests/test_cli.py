@@ -3,10 +3,42 @@
 from __future__ import annotations
 
 import argparse
+import json
 
 import pytest
 
 from repro.cli import build_parser, main
+
+#: A simulated run's manifest in the layout written before its counts moved
+#: to the registry snapshot alone (``repro trace --sizes 8,8 --runtime 5``,
+#: trimmed): ``counters`` holds a hand-built, partly nested block.
+OLD_FORMAT_MANIFEST = {
+    "label": "el",
+    "seed": 0,
+    "config": {"technique": "el", "generation_sizes": [8, 8]},
+    "code": {"package_version": "1.0.0", "python": "3.11.7"},
+    "sim": {"events_executed": 2493, "heap_depth": 397, "now": 5.0},
+    "counters": {
+        "begun": 501,
+        "blocks_written_by_generation": [45, 21],
+        "committed": 372,
+        "drives": [{"writes": 67, "seek_samples": 66, "utilisation": 0.335}],
+        "events_executed": 2493,
+        "flush": {"completed": 728, "demand_flushes": 0, "submitted": 744},
+        "forwarded_records": 789,
+        "fresh_records": 1689,
+        "kills": 0,
+        "transactions_killed": 0,
+    },
+    "metrics": {
+        "el.kills": {"type": "counter", "value": 0},
+        "log.gen0.blocks_written": {"type": "counter", "value": 45},
+    },
+    "trace": {"enabled": True, "events_retained": 2502},
+    "wall_seconds": 0.25,
+    "created_unix": 1760000000.0,
+    "schema_version": 1,
+}
 
 
 @pytest.fixture(autouse=True)
@@ -334,7 +366,21 @@ class TestReportCommand:
         assert code == 0
         assert "time span" in output
         assert "Run manifest: el (seed 0)" in output
-        assert "blocks_written_by_generation" in output
+        assert "log.gen0.blocks_written" in output
+
+    def test_report_renders_a_manifest_with_a_counters_block(self, tmp_path, capsys):
+        """A manifest from before simulated runs carried their counts only
+        in ``metrics``: its hand-built ``counters`` block still renders."""
+        path = tmp_path / "old.manifest.json"
+        path.write_text(json.dumps(OLD_FORMAT_MANIFEST))
+        code = main(["report", str(path)])
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "Run manifest: el (seed 0)" in output
+        assert "  counters:" in output
+        assert "forwarded_records           : 789" in output
+        assert "transactions_killed         : 0" in output
+        assert "log.gen0.blocks_written" in output
 
     def test_report_missing_file_fails(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nope.jsonl")]) == 1

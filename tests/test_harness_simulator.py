@@ -127,8 +127,10 @@ FLUSH_FAULT_DRIVES = [
 
 
 def _drive_totals(simulation) -> list:
-    report = simulation.manager.scheduler.drive_report(simulation.config.runtime)
-    return [(d["writes"], d["seek_distance_total"], d["seek_samples"]) for d in report]
+    return [
+        (d.stats.writes, d.stats.seek_distance_total, d.stats.seek_samples)
+        for d in simulation.manager.scheduler.drives
+    ]
 
 
 class TestPaperPointPins:

@@ -22,10 +22,13 @@ import pytest
 import repro
 
 from repro.errors import ConfigurationError
+from repro.harness.config import SimulationConfig
+from repro.harness.simulator import Simulation
 from repro.live import protocol
 from repro.live.loadgen import LoadGenerator
 from repro.live.server import DEFAULT_NUM_OBJECTS, LiveServer
 from repro.live.storage import FileBackedDatabase, read_log_directory
+from repro.obs import ObsConfig
 from repro.recovery.analyzer import LogScan
 from repro.recovery.single_pass import SinglePassRecovery
 from repro.recovery.verify import RecoveryVerifier
@@ -170,6 +173,14 @@ class TestServerIntegration:
         acked = asyncio.run(_serve_clients(server, clients))
         assert len(acked) == 200
         assert server.commits_acked == 200
+        assert server.metrics.get("el.committed").value == 200
+        manifest = json.loads((tmp_path / "server-manifest.json").read_text())
+        # Encoded slot bytes: every block's header and wire records, more
+        # than the generations' accounting bytes.
+        declared = sum(
+            manifest["metrics"][f"log.gen{g}.bytes_written"]["value"] for g in (0, 1)
+        )
+        assert manifest["counters"]["log.bytes_written"] > declared
         # And recovery over those same files reproduces every acked value.
         _assert_acks_durable_and_recovered(tmp_path, acked)
 
@@ -199,6 +210,7 @@ class TestServerIntegration:
         acked = asyncio.run(_serve_clients(server, clients))
         assert len(acked) == 200
         assert server.commits_acked == 200
+        assert server.metrics.get("shard.committed").value == 200
         assert server.manager.cross_shard_commits == 200
         assert {p.name for p in tmp_path.glob("*.log")} >= {
             "shard0-gen0.log",
@@ -219,6 +231,34 @@ class TestServerIntegration:
             hist = counters[name]
             assert hist["count"] > 0, name
             assert hist["p50"] <= hist["p95"] <= hist["p99"] <= hist["max"], name
+
+    def test_live_registry_uses_the_simulators_names(self, tmp_path):
+        """EL (18,16) served and simulated: the server reports the
+        simulator's names for the manager's counts and adds only what
+        the manager cannot see."""
+        config = SimulationConfig.ephemeral(
+            (18, 16), runtime=5.0, obs=ObsConfig(metrics=True)
+        )
+        simulation = Simulation(config)
+        simulation.run()
+        sim_names = set(simulation.obs.metrics.names())
+
+        async def clients(server):
+            return await _run_transactions(server.host, server.port, 20)
+
+        server = LiveServer(tmp_path, technique="el", generation_sizes=(18, 16))
+        asyncio.run(_serve_clients(server, clients))
+        live_names = set(server.metrics.names())
+        assert sim_names <= live_names
+        assert live_names - sim_names == {
+            "server.commit_latency",
+            "server.rejections",
+            "server.protocol_errors",
+            "server.internal_errors",
+            "log.bytes_written",
+            "log.fsyncs",
+            "log.write_latency",
+        }
 
     def test_unknown_and_stale_tids_get_error_status(self, tmp_path):
         async def scenario():
@@ -380,7 +420,7 @@ class TestServiceGates:
         weaker than it looks: the kill usually lands after the installs it
         races have finished, so recovery often replays no log record at
         all (0, 0, 7 and 16 records in four runs on a 2-core box).  A
-        kill/restart loop that requires replay is open (ROADMAP item 2).
+        kill/restart loop that requires replay is open (ROADMAP item 3).
         """
         log_dir = tmp_path / "sigkill"
         process, port = _spawn_server(log_dir)

@@ -3,7 +3,7 @@
 Every simulator count is an int of the component that counts it; the
 registry reads those ints when a snapshot is taken.  These tests pin the
 name set of five metrics-on runs and check each counter and gauge against
-the int it reports.
+the value it reports.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ FLUSH = [
     "flush.seek_distance",
     "flush.settle_seconds",
     "flush.submitted",
+    "flush.superseded",
 ]
 LOG_GEN0 = [
     "log.block_records",
@@ -52,13 +53,17 @@ LOG_GEN0 = [
     "pool.gen0.in_use",
 ]
 LOG_GEN1 = ["log.gen1.blocks_written", "log.gen1.bytes_written", "pool.gen1.in_use"]
-MANAGER = [
+#: What every manager reports about its transactions.
+OUTCOMES = ["aborted", "begun", "committed", "kills"]
+MANAGER = OUTCOMES + [
     "demand_flushes",
+    "emergency_recirculations",
+    "forced_migration_seals",
     "forwarded",
     "gap_blocks_processed",
     "gap_episodes",
     "garbage_discarded",
-    "kills",
+    "pressure_episodes",
     "recirculated",
 ]
 EL = FLUSH + LOG_GEN0 + LOG_GEN1 + [f"el.{name}" for name in MANAGER]
@@ -67,9 +72,14 @@ EL = FLUSH + LOG_GEN0 + LOG_GEN1 + [f"el.{name}" for name in MANAGER]
 NAMES = {
     "el": EL,
     "fw": FLUSH + LOG_GEN0 + ["fw.blocks_reclaimed"] + [f"fw.{name}" for name in MANAGER],
-    "hybrid": FLUSH + LOG_GEN0 + LOG_GEN1 + ["hybrid.kills", "hybrid.regenerated"],
+    "hybrid": FLUSH
+    + LOG_GEN0
+    + LOG_GEN1
+    + ["hybrid.regenerated"]
+    + [f"hybrid.{name}" for name in OUTCOMES],
     "el-2-shards": [f"s{i}.{name}" for i in (0, 1) for name in EL]
-    + ["shard.cross_shard_commits", "shard.single_shard_commits"],
+    + ["shard.cross_shard_commits", "shard.single_shard_commits"]
+    + [f"shard.{name}" for name in OUTCOMES],
     "el-faults": EL
     + [
         "el.fault.blocks_retired",
@@ -103,6 +113,8 @@ def log_ints(manager, prefix: str = "") -> dict:
         prefix + "flush.completed": scheduler.completed,
         prefix + "flush.demand": scheduler.demand_flushes,
         prefix + "flush.depth": (scheduler.backlog(), scheduler.peak_backlog),
+        prefix + "flush.superseded": scheduler.superseded_in_pool,
+        prefix + "flush.seek_distance": scheduler.mean_seek_distance(),
     }
     for generation in manager.generations:
         log = f"{prefix}log.gen{generation.index}."
@@ -115,14 +127,27 @@ def log_ints(manager, prefix: str = "") -> dict:
     return ints
 
 
+def outcome_ints(manager, source: str) -> dict:
+    """A manager's transaction outcomes under ``source``."""
+    return {
+        f"{source}.begun": manager.begun_count,
+        f"{source}.committed": manager.committed_count,
+        f"{source}.aborted": manager.aborted_count,
+        f"{source}.kills": manager.kill_count,
+    }
+
+
 def manager_ints(manager, prefix: str = "") -> dict:
     """Every int an EL/FW manager's counters and gauges report."""
     source = prefix + manager.trace_source
     ints = {
         **log_ints(manager, prefix),
+        **outcome_ints(manager, source),
         f"{source}.forwarded": manager.forwarded_records,
         f"{source}.recirculated": manager.recirculated_records,
-        f"{source}.kills": manager.kill_count,
+        f"{source}.emergency_recirculations": manager.emergency_recirculations,
+        f"{source}.pressure_episodes": manager.pressure_episodes,
+        f"{source}.forced_migration_seals": manager.forced_migration_seals,
         f"{source}.garbage_discarded": manager.garbage_copies_discarded,
         f"{source}.gap_episodes": manager.gap_episodes,
         f"{source}.demand_flushes": (
@@ -148,11 +173,12 @@ def expected_ints(case: str, manager) -> dict:
     if case == "hybrid":
         return {
             **log_ints(manager),
+            **outcome_ints(manager, "hybrid"),
             "hybrid.regenerated": manager.regenerated_records,
-            "hybrid.kills": manager.kill_count,
         }
     if case == "el-2-shards":
         ints = {
+            **outcome_ints(manager, "shard"),
             "shard.cross_shard_commits": manager.cross_shard_commits,
             "shard.single_shard_commits": manager.single_shard_commits,
         }
@@ -193,15 +219,21 @@ def test_fault_run_counts_are_pinned(runs):
         if metric["type"] != "histogram"
     }
     assert values == {
+        "el.aborted": (0, None),
+        "el.begun": (1501, None),
+        "el.committed": (1347, None),
         "el.demand_flushes": (2, None),
+        "el.emergency_recirculations": (0, None),
         "el.fault.blocks_retired": (3, None),
         "el.fault.deferred_acks": (0, None),
         "el.fault.records_healed": (33, None),
         "el.fault.records_stabilised": (21, None),
+        "el.forced_migration_seals": (0, None),
         "el.forwarded": (1104, None),
         "el.gap_episodes": (152, None),
         "el.garbage_discarded": (5585, None),
         "el.kills": (0, None),
+        "el.pressure_episodes": (0, None),
         "el.recirculated": (20, None),
         "faults.injected.flush_write": (338, None),
         "faults.injected.latent_error": (14, None),
@@ -210,7 +242,9 @@ def test_fault_run_counts_are_pinned(runs):
         "flush.completed": (2729, None),
         "flush.demand": (23, None),
         "flush.depth": (11, 25),
+        "flush.seek_distance": (211465.88548504742, None),
         "flush.submitted": (2762, None),
+        "flush.superseded": (0, None),
         "log.gen0.blocks_written": (162, None),
         "log.gen0.bytes_written": (313116, None),
         "log.gen1.blocks_written": (19, None),
