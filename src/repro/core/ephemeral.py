@@ -19,7 +19,7 @@ with recirculation disabled (see :mod:`repro.core.firewall`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.constants import (
     BUFFERS_PER_GENERATION,
@@ -41,7 +41,6 @@ from repro.disk.block import BlockImage
 from repro.disk.partition import RangePartitioner
 from repro.errors import ConfigurationError, LogFullError, SimulationError
 from repro.faults.injector import NULL_FAULTS
-from repro.faults.plan import DiskFault
 from repro.obs.events import NULL_TRACE, EventStream
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.records.base import LogRecord, next_lsn_factory
@@ -150,19 +149,18 @@ class EphemeralLogManager(LogManager):
         if self._fault_mode:
             for generation in self.generations:
                 generation.on_write_unresolved = self._handle_write_unresolved
-                generation.on_write_failed = self._handle_write_failed
-                generation.on_latent_fault = self._handle_latent_fault
+                generation.on_block_lost = self._handle_block_lost
         #: LSNs whose only current copy sits in a faulted block -> owner tid.
         self._held_lsns: Dict[int, int] = {}
         #: Generations stuck at/below the safe ring size: committed records
-        #: demand-flush at the head instead of migrating (graceful
-        #: degradation once bad-block remapping has no spare slots left).
+        #: demand-flush at the head instead of migrating, and a degraded
+        #: last generation stops recirculating (graceful degradation once
+        #: bad-block remapping has no spare slots left).
         self._degraded = [False] * len(sizes)
         self.blocks_retired = 0
         self.records_healed = 0
         self.records_stabilised = 0
         self.deferred_acks = 0
-        self.degrade_episodes = 0
 
         # COMMIT LSN -> (tid, ack callback) awaiting group-commit durability.
         self._pending_acks: Dict[int, Tuple[int, CommitAckCallback]] = {}
@@ -471,8 +469,17 @@ class EphemeralLogManager(LogManager):
         return True
 
     def _route_head_records(self, gen_index: int, image: BlockImage) -> None:
-        """Apply the three possible fates to each record copy at the head."""
+        """Give each live record copy at the head one of the paper's fates.
+
+        A record is forwarded to the next generation, recirculated within
+        the last one, demand-flushed (a committed update, or the updates of
+        a committed transaction whose tx record is at the head) or killed
+        with its transaction.  The last generation recirculates only while
+        recirculation is on and fault remapping has not shrunk it to the
+        safety floor: a degraded ring has no room to recirculate into.
+        """
         last = len(self.generations) - 1
+        recirculates = self.recirculation and not self._degraded[last]
         traced = self.trace.enabled
         for record in image.records:
             cell = record.cell
@@ -485,33 +492,23 @@ class EphemeralLogManager(LogManager):
                 raise SimulationError(
                     f"live record lsn={record.lsn} has no LTT entry"
                 )
-            if isinstance(record, DataLogRecord) and entry.status is TxStatus.COMMITTED:
-                must_flush = (
+            if gen_index == last and not recirculates:
+                if not self._flush_or_kill(
+                    record, entry, gen_index, "head-of-last-generation"
+                ):
+                    self._recirculate_pending(record, entry, gen_index)
+                continue
+            if (
+                isinstance(record, DataLogRecord)
+                and entry.status is TxStatus.COMMITTED
+                and (
                     self.unflushed_head_policy is UnflushedHeadPolicy.DEMAND_FLUSH
-                    or (gen_index == last and not self.recirculation)
                     or self._pressure[gen_index]
                     or self._degraded[gen_index]
                 )
-                if must_flush:
-                    if traced:
-                        self.trace.emit(
-                            self.sim.now,
-                            self.trace_source,
-                            "demand_flush",
-                            {
-                                "lsn": record.lsn,
-                                "oid": record.oid,
-                                "generation": gen_index,
-                            },
-                        )
-                    self.scheduler.demand_flush(record)
-                    continue
-            elif record.kind.is_tx and entry.status is TxStatus.COMMITTED:
-                if gen_index == last and not self.recirculation:
-                    # The COMMIT record cannot be retained; make it garbage
-                    # by flushing the transaction's remaining updates.
-                    self._settle_by_demand_flush(entry)
-                    continue
+            ):
+                self._demand_flush(record, gen_index)
+                continue
             if gen_index < last:
                 if not self._migrate_or_evacuate(
                     record, entry, gen_index, self.generations[gen_index + 1]
@@ -525,7 +522,7 @@ class EphemeralLogManager(LogManager):
                         "forward",
                         {"lsn": record.lsn, "from": gen_index, "gathered": False},
                     )
-            elif self.recirculation:
+            else:
                 if not self._migrate_or_evacuate(
                     record, entry, gen_index, self.generations[gen_index]
                 ):
@@ -538,30 +535,70 @@ class EphemeralLogManager(LogManager):
                         "recirculate",
                         {"lsn": record.lsn, "generation": gen_index},
                     )
-            elif entry.status is TxStatus.COMMIT_PENDING:
-                # The COMMIT record is already on its way to disk, so the
-                # transaction can be neither killed (recovery might redo
-                # unacknowledged work) nor flushed (not yet durable).  Keep
-                # its records moving for the short group-commit window.
-                if not self._migrate_or_evacuate(
-                    record, entry, gen_index, self.generations[gen_index]
-                ):
-                    continue
-                self.emergency_recirculations += 1
-                if traced:
-                    self.trace.emit(
-                        self.sim.now,
-                        self.trace_source,
-                        "emergency_recirculate",
-                        {"lsn": record.lsn, "generation": gen_index},
-                    )
+
+    def _flush_or_kill(
+        self, record: LogRecord, entry: LttEntry, gen_index: int, reason: str
+    ) -> bool:
+        """Make ``record`` garbage by the fates that need no log space.
+
+        A committed update is demand-flushed, a committed transaction
+        settles by flushing its remaining updates, and an active
+        transaction is killed (for ``reason``).  Returns ``False`` for a
+        COMMIT_PENDING record, which can take none of them: its COMMIT
+        record is on its way to disk, so it is not yet durable enough to
+        flush and already too far along to kill.
+        """
+        status = entry.status
+        if status is TxStatus.COMMITTED:
+            if isinstance(record, DataLogRecord):
+                self._demand_flush(record, gen_index)
             else:
-                # An active transaction's record reached the head of the
-                # last generation with nowhere to go: kill until it is
-                # garbage.
-                while record.cell is not None:
-                    victim = self.kill_policy.choose_victim(self.ltt, record.tid)
-                    self._kill(victim, reason="head-of-last-generation")
+                self._settle_by_demand_flush(entry)
+            return True
+        if status is TxStatus.ACTIVE:
+            while record.cell is not None:
+                victim = self.kill_policy.choose_victim(self.ltt, record.tid)
+                self._kill(victim, reason=reason)
+            return True
+        return False
+
+    def _demand_flush(self, record: DataLogRecord, gen_index: int) -> None:
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now,
+                self.trace_source,
+                "demand_flush",
+                {"lsn": record.lsn, "oid": record.oid, "generation": gen_index},
+            )
+        self.scheduler.demand_flush(record)
+
+    def _recirculate_pending(
+        self, record: LogRecord, entry: LttEntry, gen_index: int
+    ) -> None:
+        """Keep a COMMIT_PENDING record from a freed head slot in the log.
+
+        It cannot be flushed or killed (:meth:`_flush_or_kill`), so it
+        moves into its own generation, whose head has just freed a slot,
+        for the short group-commit window.  Only when fault remapping has
+        left that ring with no free slot at all does it stay behind, and
+        then under a durability hold: the tail may reuse its slot, so its
+        commit must not be acknowledged on the strength of that copy.
+        """
+        try:
+            self._migrate(record, gen_index, self.generations[gen_index])
+        except LogFullError:
+            if not self._fault_mode:
+                raise
+            self._add_hold(record, entry)
+            return
+        self.emergency_recirculations += 1
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now,
+                self.trace_source,
+                "emergency_recirculate",
+                {"lsn": record.lsn, "generation": gen_index},
+            )
 
     def _migrate_or_evacuate(
         self,
@@ -570,35 +607,38 @@ class EphemeralLogManager(LogManager):
         gen_index: int,
         target: Generation,
     ) -> bool:
-        """Migrate ``record``; under a fault-collapsed ring, fall back.
+        """Migrate ``record``; if a fault-shrunk target is full, evacuate it.
 
         Fault injection can remap blocks out of a ring faster than the head
         drains it, so a migration target may genuinely have no tail block
         to reserve — something the fault-free space invariants rule out.
-        The fallback ladder: retry within the source generation (its head
-        just freed a slot), then evacuate by routes that need no log space
-        at all.  Returns whether the record still lives in the log.
+        The record then takes a fate that needs no log space
+        (:meth:`_flush_or_kill`).  A COMMIT_PENDING record can take none:
+        leaving a head for another generation it recirculates in its own
+        (:meth:`_recirculate_pending`); otherwise it stays under a
+        durability hold, so its commit acknowledgement waits, which is
+        sound: losing an *unacknowledged* commit at a crash is permitted.
+        Returns whether the record moved to ``target``.
 
         Without fault injection the space invariants hold and a full ring
         is a *deliberate* signal (``KillPolicy.FORBID``), so the error
         propagates untouched.
         """
-        if not self.faults.enabled:
-            self._migrate(record, gen_index, target)
-            return True
         try:
             self._migrate(record, gen_index, target)
             return True
         except LogFullError:
-            pass
-        if target.index != gen_index:
-            try:
-                self._migrate(record, gen_index, self.generations[gen_index])
-                self.emergency_recirculations += 1
-                return True
-            except LogFullError:
-                pass
-        self._evacuate_record(record, entry)
+            if not self._fault_mode:
+                raise
+        if entry.status is TxStatus.COMMIT_PENDING:
+            if target.index != gen_index:
+                self._recirculate_pending(record, entry, gen_index)
+            else:
+                self._add_hold(record, entry)
+            return False
+        if isinstance(record, DataLogRecord) and entry.status is TxStatus.COMMITTED:
+            self.records_stabilised += 1
+        self._flush_or_kill(record, entry, gen_index, "fault-heal-no-space")
         return False
 
     def _migrate(self, record: LogRecord, source_index: int, target: Generation) -> None:
@@ -676,14 +716,9 @@ class EphemeralLogManager(LogManager):
         While the block retries, an older durable copy of any of its records
         could be physically overwritten (head reclamation reuses slots), so
         the faulted copy must be treated as the *only* copy right now:
-
-        * committed data records are demand-flushed into the stable
-          database — once installed they need no log copy at all;
-        * committed tx records settle their transaction the same way;
-        * records of live transactions take a durability hold, deferring
-          the commit acknowledgement until a durable copy exists again.
+        see :meth:`_stabilise_block`.
         """
-        stabilised = self._stabilise_block(generation, image, hold_live=True)
+        stabilised = self._stabilise_block(generation, image)
         if stabilised and self.trace.enabled:
             self.trace.emit(
                 self.sim.now,
@@ -696,10 +731,30 @@ class EphemeralLogManager(LogManager):
                 },
             )
 
-    def _stabilise_block(
-        self, generation: Generation, image: BlockImage, *, hold_live: bool
-    ) -> int:
+    def _stabilise_block(self, generation: Generation, image: BlockImage) -> int:
+        """Make ``image``'s records safe without trusting its disk copy.
+
+        Committed records are flushed into the stable database (once
+        installed they need no log copy at all); records of live
+        transactions take a durability hold, deferring the commit
+        acknowledgement until a durable copy exists again.  Returns the
+        number of committed records stabilised.
+        """
         stabilised = 0
+        for record, entry in self._live_copies(image):
+            if entry.status is TxStatus.COMMITTED:
+                if isinstance(record, DataLogRecord):
+                    self.records_stabilised += 1
+                self._flush_or_kill(
+                    record, entry, generation.index, "fault-heal-no-space"
+                )
+                stabilised += 1
+            else:
+                self._add_hold(record, entry)
+        return stabilised
+
+    def _live_copies(self, image: BlockImage) -> Iterator[Tuple[LogRecord, LttEntry]]:
+        """Each record whose current copy is ``image``, with its LTT entry."""
         for record in image.records:
             cell = record.cell
             if cell is None or cell.address != image.address:
@@ -709,132 +764,60 @@ class EphemeralLogManager(LogManager):
                 raise SimulationError(
                     f"live record lsn={record.lsn} has no LTT entry"
                 )
-            if entry.status is TxStatus.COMMITTED:
-                if isinstance(record, DataLogRecord):
-                    self.records_stabilised += 1
-                    self.scheduler.demand_flush(record)
-                else:
-                    self._settle_by_demand_flush(entry)
-                stabilised += 1
-            elif hold_live:
-                self._add_hold(record, entry)
-        return stabilised
+            yield record, entry
 
-    def _handle_write_failed(
-        self, generation: Generation, image: BlockImage, fault: DiskFault
+    def _handle_block_lost(
+        self, generation: Generation, image: BlockImage, cause: str
     ) -> None:
-        """A block exhausted its retry budget: remap the slot and relocate.
+        """A block's content is lost: remap its slot and relocate its records.
 
-        The committed records were already stabilised on the first failed
-        attempt; whatever is still live migrates to a fresh tail block (its
-        durability holds, installed back then, release when the new copy
-        lands on disk).
+        ``cause`` is ``"write_failed"`` (the retry budget ran out, so the
+        block never became durable) or ``"latent"`` (a durable block is
+        decaying; scrub model: still readable now, and the generation marks
+        it unreadable afterwards).  The records are stabilised, then the
+        live ones migrate to a fresh tail block of the same generation,
+        where their holds release once the new copy is durable.  A record
+        that finds no room there is evacuated (:meth:`_migrate_or_evacuate`).
         """
         self._retire_slot(generation, image.address.slot)
-        healed = self._relocate_live_records(generation, image)
-        if self.trace.enabled:
-            self.trace.emit(
-                self.sim.now,
-                "fault",
-                "heal",
-                {
-                    "generation": generation.index,
-                    "slot": image.address.slot,
-                    "records": healed,
-                    "cause": "write_failed",
-                },
-            )
-
-    def _handle_latent_fault(
-        self, generation: Generation, image: BlockImage, fault: DiskFault
-    ) -> None:
-        """A durable block is decaying (scrub model: still readable now).
-
-        The device reports the imminent sector failure before the content
-        becomes unreadable, so the manager heals first: committed data
-        demand-flushes straight into the stable database, live records
-        migrate to a fresh block and hold their commit acks until the new
-        copy is durable.  The caller marks the image unreadable afterwards.
-        """
-        self._retire_slot(generation, image.address.slot)
-        self._stabilise_block(generation, image, hold_live=False)
-        healed = self._relocate_live_records(generation, image, hold=True)
-        if self.trace.enabled:
-            self.trace.emit(
-                self.sim.now,
-                "fault",
-                "heal",
-                {
-                    "generation": generation.index,
-                    "slot": image.address.slot,
-                    "records": healed,
-                    "cause": "latent",
-                },
-            )
-
-    def _relocate_live_records(
-        self, generation: Generation, image: BlockImage, *, hold: bool = False
-    ) -> int:
+        self._stabilise_block(generation, image)
         healed = 0
-        for record in image.records:
-            cell = record.cell
-            if cell is None or cell.address != image.address:
-                continue
-            entry = self.ltt.get(record.tid)
-            if entry is None:
-                raise SimulationError(
-                    f"live record lsn={record.lsn} has no LTT entry"
-                )
-            if hold:
-                self._add_hold(record, entry)
-            if not self._migrate_or_evacuate(
-                record, entry, generation.index, generation
-            ):
-                continue
-            healed += 1
-            self.records_healed += 1
+        for record, entry in self._live_copies(image):
+            if self._migrate_or_evacuate(record, entry, generation.index, generation):
+                healed += 1
         if healed:
+            self.records_healed += healed
             # The relocated copies must reach disk promptly — their old
             # copies are gone (failed write) or decaying (latent error).
             if generation.seal_migration():
                 self._clear_migration_sources(generation.index)
-        return healed
+        if self.trace.enabled:
+            self.trace.emit(
+                self.sim.now,
+                "fault",
+                "heal",
+                {
+                    "generation": generation.index,
+                    "slot": image.address.slot,
+                    "records": healed,
+                    "cause": cause,
+                },
+            )
 
-    def _evacuate_record(self, record: LogRecord, entry: LttEntry) -> None:
-        """Get ``record`` out of harm's way without consuming log space.
-
-        Mirrors the head-routing fates: committed updates install straight
-        into the stable database, committed transactions settle the same
-        way, and active transactions are killed (the paper's last-resort
-        space reclamation).  A COMMIT_PENDING record keeps its durability
-        hold — its acknowledgement stays deferred, which is sound: losing
-        an *unacknowledged* commit at a crash is permitted, and the head
-        retries relocation when the ring has room again.
-        """
-        if entry.status is TxStatus.COMMITTED:
-            if isinstance(record, DataLogRecord):
-                self.records_stabilised += 1
-                self.scheduler.demand_flush(record)
-            else:
-                self._settle_by_demand_flush(entry)
-        elif entry.status is TxStatus.ACTIVE:
-            while record.cell is not None:
-                victim = self.kill_policy.choose_victim(self.ltt, record.tid)
-                self._kill(victim, reason="fault-heal-no-space")
-
-    def _retire_slot(self, generation: Generation, slot: int) -> bool:
+    def _retire_slot(self, generation: Generation, slot: int) -> None:
         """Remap ``slot`` out of the ring if the safety floor allows it.
 
         Shrinking re-derives the k-gap margin: the ring must keep at least
         ``gap_blocks + 1`` usable slots (one block of content plus the
         paper's head/tail separation).  Near the floor the generation
-        degrades to demand-flushing committed records at the head, which
-        caps the space the log needs.
+        degrades: its head demand-flushes committed records instead of
+        migrating them, and a degraded last generation stops recirculating,
+        which caps the space the log needs.
         """
         array = generation.array
         if array.usable_capacity - 1 <= self.gap_blocks:
             self._set_degraded(generation.index, array.usable_capacity)
-            return False
+            return
         array.retire(slot)
         self.blocks_retired += 1
         if self.trace.enabled:
@@ -850,13 +833,11 @@ class EphemeralLogManager(LogManager):
             )
         if array.usable_capacity <= self.gap_blocks + 3:
             self._set_degraded(generation.index, array.usable_capacity)
-        return True
 
     def _set_degraded(self, gen_index: int, usable: int) -> None:
         if self._degraded[gen_index]:
             return
         self._degraded[gen_index] = True
-        self.degrade_episodes += 1
         if self.trace.enabled:
             self.trace.emit(
                 self.sim.now,

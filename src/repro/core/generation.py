@@ -35,7 +35,7 @@ from repro.disk.block import BlockAddress, BlockImage
 from repro.disk.circular import CircularBlockArray
 from repro.errors import SimulationError
 from repro.faults.injector import NULL_FAULTS
-from repro.faults.plan import DiskFault, FaultKind
+from repro.faults.plan import FaultKind
 from repro.obs.events import NULL_TRACE, EventStream
 from repro.obs.metrics import MetricsRegistry, NULL_METRICS
 from repro.records.base import LogRecord
@@ -47,10 +47,10 @@ BlockDurableCallback = Callable[["Generation", BlockImage], None]
 PreReserveCallback = Callable[["Generation", int], None]
 #: Callback type fired on a block's *first* failed write attempt.
 WriteUnresolvedCallback = Callable[["Generation", BlockImage], None]
-#: Callback type fired when a block's retry budget is exhausted.
-WriteFailedCallback = Callable[["Generation", BlockImage, DiskFault], None]
-#: Callback type fired when a durable block suffers a latent sector error.
-LatentFaultCallback = Callable[["Generation", BlockImage, DiskFault], None]
+#: Callback type fired when a block's content is lost: its retry budget ran
+#: out (cause ``"write_failed"``) or it suffered a latent sector error
+#: (cause ``"latent"``).
+BlockLostCallback = Callable[["Generation", BlockImage, str], None]
 
 
 class Generation:
@@ -94,10 +94,9 @@ class Generation:
         #: Hook fired on a block's *first* failed attempt, before any retry
         #: — the manager stabilises at-risk records behind it.
         self.on_write_unresolved: Optional[WriteUnresolvedCallback] = None
-        #: Hook fired when the retry budget is exhausted (hard failure).
-        self.on_write_failed: Optional[WriteFailedCallback] = None
-        #: Hook fired when a durable block decays (latent sector error).
-        self.on_latent_fault: Optional[LatentFaultCallback] = None
+        #: Hook fired when the retry budget is exhausted (hard failure) or
+        #: a durable block decays (latent sector error).
+        self.on_block_lost: Optional[BlockLostCallback] = None
         #: Optional physical block store (live mode).  When set, sealed
         #: blocks are handed to ``store.write_block`` — which persists the
         #: image and invokes the completion when genuinely durable — instead
@@ -383,13 +382,6 @@ class Generation:
         self.in_flight.pop(slot, None)
         self.failed_writes += 1
         buffer.finish_write()
-        fault = DiskFault(
-            kind,
-            time=self.sim.now,
-            generation=self.index,
-            slot=slot,
-            attempts=attempt + 1,
-        )
         if self.trace.enabled:
             self.trace.emit(
                 self.sim.now,
@@ -397,8 +389,8 @@ class Generation:
                 "write_failed",
                 {"generation": self.index, "slot": slot, "attempts": attempt + 1},
             )
-        if self.on_write_failed is not None:
-            self.on_write_failed(self, image, fault)
+        if self.on_block_lost is not None:
+            self.on_block_lost(self, image, "write_failed")
 
     def _latent_fire(self, slot: int, image: BlockImage) -> None:
         """A previously durable block decays (latent sector error).
@@ -411,12 +403,6 @@ class Generation:
         if self.durable.get(slot) is not image:
             return
         self.latent_faults += 1
-        fault = DiskFault(
-            FaultKind.LATENT_ERROR,
-            time=self.sim.now,
-            generation=self.index,
-            slot=slot,
-        )
         if self.trace.enabled:
             self.trace.emit(
                 self.sim.now,
@@ -424,8 +410,8 @@ class Generation:
                 "latent",
                 {"generation": self.index, "slot": slot},
             )
-        if self.on_latent_fault is not None:
-            self.on_latent_fault(self, image, fault)
+        if self.on_block_lost is not None:
+            self.on_block_lost(self, image, "latent")
         image.unreadable = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -47,31 +47,6 @@ class DriveStats:
             return 0.0
         return self.seek_distance_total / self.seek_samples
 
-    def utilisation(self, elapsed_seconds: float) -> float:
-        """Fraction of ``elapsed_seconds`` the drive spent servicing writes.
-
-        Clamped to ``[0, 1]``; a non-positive window reports ``0.0`` (no
-        observable interval, not an error).
-        """
-        if elapsed_seconds <= 0:
-            return 0.0
-        return min(1.0, self.busy_seconds / elapsed_seconds)
-
-    def as_dict(self) -> dict:
-        """JSON-ready snapshot of the raw counters (for run manifests)."""
-        data = {
-            "writes": self.writes,
-            "busy_seconds": self.busy_seconds,
-            "seek_distance_total": self.seek_distance_total,
-            "seek_samples": self.seek_samples,
-            "mean_seek_distance": self.mean_seek_distance,
-        }
-        # Only fault-injected runs carry the extra key, keeping fault-free
-        # manifests byte-identical to the pre-fault layer.
-        if self.faults:
-            data["faults"] = self.faults
-        return data
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<DriveStats writes={self.writes} busy={self.busy_seconds:.3f}s "

@@ -5,7 +5,7 @@ paper speed:
 
 * :mod:`repro.obs.metrics` — named counters and gauges, read from the
   components' own counts at snapshot time, and log-bucketed histograms
-  that merge and report percentiles;
+  that report percentiles;
 * :mod:`repro.obs.events` — the schema'd event stream (in-memory ring,
   optional JSONL export);
 * :mod:`repro.obs.manifest` — per-run JSON manifests capturing config,

@@ -26,7 +26,7 @@ counters and histograms, so a disabled run allocates nothing.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -92,13 +92,13 @@ class View:
 
 
 class Histogram:
-    """Log-bucketed histogram with summary stats, merging and percentiles.
+    """Log-bucketed histogram with summary stats and percentiles.
 
     Every histogram shares one bucket geometry (see
-    :data:`BUCKETS_PER_DOUBLING`), so any two merge and none needs its
-    edges configured.  Counts live in a sparse dict keyed by bucket index:
-    bucket ``k`` holds ``[2**(k/16), 2**((k+1)/16))`` and values <= 0
-    share the :data:`ZERO_BUCKET`.
+    :data:`BUCKETS_PER_DOUBLING`), so none needs its edges configured.
+    Counts live in a sparse dict keyed by bucket index: bucket ``k``
+    holds ``[2**(k/16), 2**((k+1)/16))`` and values <= 0 share the
+    :data:`ZERO_BUCKET`.
     """
 
     __slots__ = ("name", "counts", "count", "total", "min", "max")
@@ -121,27 +121,6 @@ class Histogram:
         key = _floor(_log2(value) * BUCKETS_PER_DOUBLING) if value > 0 else ZERO_BUCKET
         counts = self.counts
         counts[key] = counts.get(key, 0) + 1
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other`` into this histogram in place; returns ``self``."""
-        counts = self.counts
-        for key, n in other.counts.items():
-            counts[key] = counts.get(key, 0) + n
-        self.count += other.count
-        self.total += other.total
-        if other.min is not None and (self.min is None or other.min < self.min):
-            self.min = other.min
-        if other.max is not None and (self.max is None or other.max > self.max):
-            self.max = other.max
-        return self
-
-    @classmethod
-    def merged(cls, histograms: Iterable["Histogram"]) -> "Histogram":
-        """A fresh histogram holding every observation of ``histograms``."""
-        result = cls("merged")
-        for hist in histograms:
-            result.merge(hist)
-        return result
 
     @property
     def mean(self) -> float:

@@ -49,13 +49,6 @@ class TestDiskDrive:
         assert drive.stats.mean_seek_distance == 4.0
         assert drive.stats.busy_seconds == pytest.approx(0.02)
 
-    def test_utilisation(self, sim):
-        drive = DiskDrive(sim, 0, 0.5)
-        drive.write(1, lambda: None)
-        sim.run_until(1.0)
-        assert drive.stats.utilisation(1.0) == pytest.approx(0.5)
-        assert drive.stats.utilisation(0.0) == 0.0
-
     def test_non_positive_write_time_rejected(self, sim):
         with pytest.raises(SimulationError):
             DiskDrive(sim, 0, 0.0)
@@ -75,19 +68,6 @@ class TestDiskDrive:
 
 
 class TestDriveStats:
-    def test_utilisation_clamped_above_one(self):
-        # More busy time than window (rounding, overlapping accounting)
-        # must report full utilisation, not >100 %.
-        stats = DriveStats()
-        stats.record_write(2.0, None)
-        assert stats.utilisation(1.0) == 1.0
-
-    def test_utilisation_non_positive_window_is_zero(self):
-        stats = DriveStats()
-        stats.record_write(0.5, None)
-        assert stats.utilisation(0.0) == 0.0
-        assert stats.utilisation(-1.0) == 0.0
-
     def test_mean_seek_distance_zero_samples(self):
         assert DriveStats().mean_seek_distance == 0.0
 
@@ -101,15 +81,3 @@ class TestDriveStats:
         assert stats.writes == 3
         assert stats.seek_samples == 2
         assert stats.mean_seek_distance == pytest.approx(15.0)
-
-    def test_as_dict_round_trips_counters(self):
-        stats = DriveStats()
-        stats.record_write(0.02, 7)
-        data = stats.as_dict()
-        assert data == {
-            "writes": 1,
-            "busy_seconds": pytest.approx(0.02),
-            "seek_distance_total": 7,
-            "seek_samples": 1,
-            "mean_seek_distance": 7.0,
-        }

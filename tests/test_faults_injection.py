@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.ephemeral import EphemeralLogManager
 from repro.disk.block import BlockAddress, BlockImage
 from repro.disk.circular import CircularBlockArray
 from repro.disk.drive import DiskDrive
@@ -139,12 +140,6 @@ class TestDriveFaults:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_fault_counter_serialised_only_when_nonzero(self, sim):
-        clean = DiskDrive(sim, 0, 0.01)
-        assert "faults" not in clean.stats.as_dict()
-        clean.stats.record_fault(0.01)
-        assert clean.stats.as_dict()["faults"] == 1
-
 
 class TestManagerSelfHealing:
     def _run(self, plan, technique="el", runtime=20.0, **kwargs):
@@ -183,6 +178,51 @@ class TestManagerSelfHealing:
         assert faults["stranded_holds"] == 0
         assert result.failed is None
         assert result.transactions_committed > 0
+
+    @pytest.mark.parametrize("rate", [0.10, 0.15])
+    def test_rings_at_the_safety_floor_do_not_re_migrate(self, rate, monkeypatch):
+        # Hard failures remap both rings down to the safety floor.  From
+        # there each head record must still take one fate (forward,
+        # recirculate, demand-flush or kill), not move again and again:
+        # migrations stay within 10x the fault-free run's.  Nor may a live
+        # record stay behind at a slot the head has freed: the tail may
+        # reuse that slot, and a COMMIT_PENDING record left there could
+        # have its commit acknowledged while its only log copy is
+        # overwritten.
+        left_behind = []
+        route = EphemeralLogManager._route_head_records
+
+        def holder(generation, address):
+            for buffer in (generation.current, generation.migration):
+                if buffer is not None and buffer.image is not None:
+                    if buffer.image.address == address:
+                        return buffer.image
+            return generation.logical.get(address.slot)
+
+        def checked_route(manager, gen_index, image):
+            route(manager, gen_index, image)
+            for record in image.records:
+                cell = record.cell
+                if cell is None or cell.address != image.address:
+                    continue
+                block = holder(manager.generations[gen_index], image.address)
+                if block is None or all(r is not record for r in block.records):
+                    left_behind.append(record.lsn)
+
+        fault_free = run_simulation(SimulationConfig.ephemeral((18, 16), runtime=20.0))
+        monkeypatch.setattr(EphemeralLogManager, "_route_head_records", checked_route)
+        result = self._run(FaultPlan(transient_write_rate=rate, max_retries=0))
+        faults = result.faults
+        assert faults["degraded_generations"] == [0, 1]
+        migrations = (
+            result.forwarded_records
+            + result.recirculated_records
+            + faults["records_healed"]
+        )
+        assert migrations <= 10 * fault_free.forwarded_records
+        assert left_behind == []
+        assert faults["stranded_holds"] == 0
+        assert result.failed is None
 
     def test_latent_errors_healed(self):
         result = self._run(

@@ -106,45 +106,6 @@ class TestPercentiles:
         assert hist.mean == pytest.approx(statistics.fmean(samples))
 
 
-class TestMerge:
-    def test_merge_accumulates_counts_and_extremes(self):
-        a = observed([0.5])
-        b = observed([1.5, 9.0])
-        a.merge(b)
-        assert a.count == 3
-        assert sum(a.counts.values()) == 3
-        assert a.min == 0.5
-        assert a.max == 9.0
-        assert a.total == pytest.approx(11.0)
-
-    def test_merged_classmethod(self):
-        parts = [observed([base]) for base in (0.1, 0.9, 1.9)]
-        merged = Histogram.merged(parts)
-        assert merged.count == 3
-        assert merged.counts == {**parts[0].counts, **parts[1].counts, **parts[2].counts}
-        # Originals are untouched.
-        assert parts[0].count == 1
-
-    def test_merged_empty_iterable(self):
-        merged = Histogram.merged([])
-        assert merged.count == 0
-        assert merged.counts == {}
-        assert merged.percentile(50) is None
-
-    def test_merge_is_equivalent_to_joint_observation(self):
-        rng = random.Random(7)
-        samples = [rng.expovariate(100.0) for _ in range(3_000)] + [0.0]
-        joint = observed(samples)
-        parts = [observed(samples[i::5]) for i in range(5)]
-        merged = Histogram.merged(parts)
-        assert merged.counts == joint.counts
-        assert merged.count == joint.count
-        assert (merged.min, merged.max) == (joint.min, joint.max)
-        assert merged.total == pytest.approx(joint.total)
-        for q in (50, 90, 99, 100):
-            assert merged.percentile(q) == pytest.approx(joint.percentile(q))
-
-
 class TestObsInterop:
     def test_snapshot_includes_percentiles(self):
         hist = observed([0.004, 0.001, 0.004])
