@@ -160,6 +160,8 @@ class EphemeralLogManager(LogManager):
         self.blocks_retired = 0
         self.records_healed = 0
         self.records_stabilised = 0
+        #: Demand flushes the fault path issued (:meth:`_fault_flush_or_kill`).
+        self.fault_demand_flushes = 0
         self.deferred_acks = 0
 
         # COMMIT LSN -> (tid, ack callback) awaiting group-commit durability.
@@ -205,10 +207,10 @@ class EphemeralLogManager(LogManager):
             f"{source}.forced_migration_seals", lambda: self.forced_migration_seals
         )
         # Demand flushes of the head-routing fates; the scheduler's count
-        # also holds the fault path's stabilising flushes.
+        # also holds the fault path's.
         metrics.view(
             f"{source}.demand_flushes",
-            lambda: self.scheduler.demand_flushes - self.records_stabilised,
+            lambda: self.scheduler.demand_flushes - self.fault_demand_flushes,
         )
         metrics.view(f"{source}.kills", lambda: self.kill_count)
         metrics.view(f"{source}.garbage_discarded", lambda: self.garbage_copies_discarded)
@@ -636,10 +638,23 @@ class EphemeralLogManager(LogManager):
             else:
                 self._add_hold(record, entry)
             return False
+        self._fault_flush_or_kill(record, entry, gen_index)
+        return False
+
+    def _fault_flush_or_kill(
+        self, record: LogRecord, entry: LttEntry, gen_index: int
+    ) -> None:
+        """:meth:`_flush_or_kill` for a record the fault path must move.
+
+        Its demand flushes (a committed update's, or those that settle a
+        committed transaction) are counted apart, so that the manager's
+        ``demand_flushes`` view holds the head-routing ones only.
+        """
         if isinstance(record, DataLogRecord) and entry.status is TxStatus.COMMITTED:
             self.records_stabilised += 1
+        before = self.scheduler.demand_flushes
         self._flush_or_kill(record, entry, gen_index, "fault-heal-no-space")
-        return False
+        self.fault_demand_flushes += self.scheduler.demand_flushes - before
 
     def _migrate(self, record: LogRecord, source_index: int, target: Generation) -> None:
         cell = record.cell
@@ -743,11 +758,7 @@ class EphemeralLogManager(LogManager):
         stabilised = 0
         for record, entry in self._live_copies(image):
             if entry.status is TxStatus.COMMITTED:
-                if isinstance(record, DataLogRecord):
-                    self.records_stabilised += 1
-                self._flush_or_kill(
-                    record, entry, generation.index, "fault-heal-no-space"
-                )
+                self._fault_flush_or_kill(record, entry, generation.index)
                 stabilised += 1
             else:
                 self._add_hold(record, entry)

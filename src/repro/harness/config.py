@@ -86,6 +86,11 @@ class SimulationConfig:
     #: uniform draw byte-identical (and, being the default, omitted from
     #: old fingerprints).
     skew: Optional[SkewSpec] = None
+    #: End the run at its first kill (the minimum-space searches set it:
+    #: one kill rejects a size, so the rest of the span decides nothing).
+    #: Non-default, it enters the fingerprint, so a stopped result never
+    #: stands in for a full run in the caches.
+    stop_at_first_kill: bool = False
 
     def __post_init__(self) -> None:
         if not self.generation_sizes:

@@ -536,8 +536,7 @@ def run_scarce_flush(
         search = SpaceSearch(
             template,
             feasible_fn=lambda result: (
-                result.no_kills
-                and result.demand_flushes == 0
+                result.demand_flushes == 0
                 and result.total_bandwidth_wps <= bandwidth_cap
             ),
             parallel=runner,

@@ -63,6 +63,9 @@ class SimulationResult:
     events_executed: int = 0
     wall_seconds: float = 0.0
     failed: Optional[str] = None  # LogFullError text when the run aborted
+    #: Simulated time of the first kill of a ``stop_at_first_kill`` run,
+    #: where it ended; ``None`` for a run of the full span.
+    stopped_at: Optional[float] = None
     #: Fault-handling summary (injected counts, retries, remaps, heals);
     #: ``None`` for fault-free runs and then omitted from ``to_dict`` so
     #: their cached documents stay byte-identical to the pre-fault layer.

@@ -11,6 +11,13 @@ exponential bracket plus bisection; the EL search jointly minimises
 (gen0, gen1) by bisecting gen1 for each candidate gen0 and refining around
 the best candidate.
 
+One kill decides: every probe runs with ``stop_at_first_kill``, so a
+rejected size stops simulating at its first kill, and only a kill stops a
+run.  A feasible probe never kills, so it runs its full span and its
+result is the one a plain run of that size gives.  A caller's extra
+acceptance test (``feasible_fn``) can reject more sizes but never accept a
+run with a kill, so stopping early cannot change a decision.
+
 With a :class:`~repro.harness.parallel.ParallelRunner` attached the search
 turns *speculative*: before an uncached probe it evaluates the probes the
 serial algorithm might need next (the rest of the exponential bracket, the
@@ -104,10 +111,10 @@ class SpaceSearch:
         feasible_fn: Optional[Callable[[SimulationResult], bool]] = None,
         parallel: Optional["ParallelRunner"] = None,
     ):
-        """``feasible_fn`` overrides the acceptance criterion (default: the
-        paper's zero-kills rule).  The scarce-flush experiment, for example,
-        additionally rejects configurations that only survive by
-        demand-flushing at the head.
+        """``feasible_fn`` is an extra acceptance test on top of the paper's
+        zero-kills rule.  The scarce-flush experiment, for example, also
+        rejects configurations that only survive by demand-flushing at the
+        head.
 
         ``parallel`` attaches a :class:`~repro.harness.parallel.ParallelRunner`;
         when its ``jobs`` exceed 1 the search prefetches speculative probe
@@ -119,7 +126,7 @@ class SpaceSearch:
         if runner is None:
             runner = parallel.run_one if parallel is not None else run_simulation
         self.runner: Runner = runner
-        self.feasible_fn = feasible_fn or (lambda result: result.no_kills)
+        self.feasible_fn = feasible_fn
         self.parallel = parallel
         self.runs = 0
         self._cache: Dict[Tuple[int, ...], SimulationResult] = {}
@@ -128,19 +135,31 @@ class SpaceSearch:
     # ------------------------------------------------------------------
     # Building blocks
     # ------------------------------------------------------------------
+    def _probe(self, sizes: Tuple[int, ...]) -> SimulationConfig:
+        """The template at ``sizes``, ending at its first kill."""
+        return self.template.replace(
+            generation_sizes=tuple(sizes), stop_at_first_kill=True
+        )
+
+    def _accepts(self, result: SimulationResult) -> bool:
+        """Zero kills, and the caller's extra test if one was given."""
+        return result.no_kills and (
+            self.feasible_fn is None or self.feasible_fn(result)
+        )
+
     def evaluate(self, sizes: Tuple[int, ...]) -> SimulationResult:
         """Run (or recall) the template at the given generation sizes."""
         cached = self._cache.get(sizes)
         if cached is not None:
             return cached
-        result = self.runner(self.template.with_sizes(sizes))
+        result = self.runner(self._probe(sizes))
         self._cache[sizes] = result
         self.runs += 1
-        self.history.append((sizes, self.feasible_fn(result)))
+        self.history.append((sizes, self._accepts(result)))
         return result
 
     def feasible(self, sizes: Tuple[int, ...]) -> bool:
-        return self.feasible_fn(self.evaluate(sizes))
+        return self._accepts(self.evaluate(sizes))
 
     def _speculation_width(self) -> int:
         """How many probes to evaluate concurrently (1 = no speculation)."""
@@ -162,13 +181,11 @@ class SpaceSearch:
                 todo.append(sizes)
         if self.parallel is None or len(todo) <= 1:
             return
-        results = self.parallel.run_many(
-            [self.template.with_sizes(sizes) for sizes in todo]
-        )
+        results = self.parallel.run_many([self._probe(sizes) for sizes in todo])
         for sizes, result in zip(todo, results):
             self._cache[sizes] = result
             self.runs += 1
-            self.history.append((sizes, self.feasible_fn(result)))
+            self.history.append((sizes, self._accepts(result)))
 
     def estimate_fw_blocks(self) -> int:
         """Analytic starting point for the FW bracket.

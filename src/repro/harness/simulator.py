@@ -30,6 +30,10 @@ if TYPE_CHECKING:
     from repro.obs.manifest import RunManifest
 
 
+class _FirstKill(Exception):
+    """Ends a ``stop_at_first_kill`` run from inside its first kill."""
+
+
 class Simulation:
     """A fully wired simulation, ready to run."""
 
@@ -60,6 +64,8 @@ class Simulation:
             collect_truth=config.collect_truth,
             skew=config.skew,
         )
+        if config.stop_at_first_kill:
+            self._stop_at_first_kill()
         self.sampler = PeriodicSampler(self.sim, config.sample_period)
         self.sampler.add_probe("memory_bytes", self.manager.memory_bytes)
         self.sampler.add_probe("flush_backlog", self._flush_backlog)
@@ -102,6 +108,20 @@ class Simulation:
             metrics=self.obs.metrics,
         )
 
+    def _stop_at_first_kill(self) -> None:
+        """Let the workload count the first kill, then end the run.
+
+        The exception leaves the engine's loop from the kill itself, so the
+        loop pays no per-event check; :meth:`run` catches it.
+        """
+        handle_kill = self.manager.on_kill
+
+        def stop(tid: int, when: float) -> None:
+            handle_kill(tid, when)
+            raise _FirstKill()
+
+        self.manager.on_kill = stop
+
     def _flush_backlog(self) -> float:
         return float(self.manager.scheduler.backlog())
 
@@ -119,6 +139,9 @@ class Simulation:
     def run(self) -> SimulationResult:
         """Run the configured time span and collect the result.
 
+        A ``stop_at_first_kill`` run ends at its first kill instead, and its
+        result records when (``stopped_at``).
+
         When observability is configured this also closes any JSONL sink
         and, if a manifest path is set, writes the run manifest
         (:attr:`manifest` keeps the written document).
@@ -132,15 +155,18 @@ class Simulation:
         )
         started_wall = time.perf_counter()
         failed: Optional[str] = None
+        stopped_at: Optional[float] = None
         try:
             self.sim.run_until(self.config.runtime)
         except LogFullError as exc:
             # The configuration is infeasible even with kills; report it as
             # a failed run rather than crashing the sweep.
             failed = str(exc)
+        except _FirstKill:
+            stopped_at = self.sim.now
         wall = time.perf_counter() - started_wall
         self.generator.finish()
-        result = self._collect(wall, failed)
+        result = self._collect(wall, failed, stopped_at)
         self.obs.trace.emit(
             self.sim.now,
             "run",
@@ -175,7 +201,9 @@ class Simulation:
     # ------------------------------------------------------------------
     # Result collection
     # ------------------------------------------------------------------
-    def _collect(self, wall: float, failed: Optional[str]) -> SimulationResult:
+    def _collect(
+        self, wall: float, failed: Optional[str], stopped_at: Optional[float]
+    ) -> SimulationResult:
         config = self.config
         manager = self.manager
         stats = self.generator.stats
@@ -208,6 +236,7 @@ class Simulation:
             events_executed=self.sim.events_executed,
             wall_seconds=wall,
             failed=failed,
+            stopped_at=stopped_at,
         )
         if self.faults.enabled:
             result.faults = {

@@ -23,7 +23,8 @@ from typing import Callable, Optional
 #: v4: filenames carry a digest of the raw key (collision fix) and the
 #: per-run cache keys results by config fingerprint.
 #: v5: sharded results carry the optional ``sharding`` dict.
-CACHE_VERSION = 5
+#: v6: results carry ``stopped_at``; search probes stop at their first kill.
+CACHE_VERSION = 6
 
 
 def default_cache_dir() -> Path:

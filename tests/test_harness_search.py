@@ -1,7 +1,8 @@
-"""Tests for the minimum-space searches, using a stubbed runner.
+"""Tests for the minimum-space searches.
 
-A synthetic feasibility rule (kills iff total blocks below a threshold)
-makes the searches fast and their correctness exactly checkable.
+Most use a stubbed runner: a synthetic feasibility rule (kills iff total
+blocks below a threshold) makes the searches fast and their correctness
+exactly checkable.  ``TestStopAtFirstKill`` runs real short searches.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import pytest
 from repro.errors import SearchError
 from repro.harness.config import SimulationConfig, Technique
 from repro.harness.results import GenerationResult, SimulationResult
+from repro.harness.parallel import ParallelRunner
 from repro.harness.search import SpaceSearch
+from repro.harness.simulator import run_simulation
+from repro.harness.sweep import SweepCache
 
 
 def stub_runner_factory(feasible_rule):
@@ -137,6 +141,17 @@ class TestElMinimum:
         outcome = search.fw_minimum()
         assert outcome.sizes == (20,)
 
+    def test_extra_criterion_cannot_accept_a_kill(self):
+        # ``feasible_fn`` only adds to the zero-kills rule: a run with kills
+        # is rejected even by a test that accepts everything.
+        runner = stub_runner_factory(lambda sizes: sizes[0] >= 30)
+        search = SpaceSearch(
+            SimulationConfig.firewall(50, runtime=10.0),
+            runner,
+            feasible_fn=lambda result: True,
+        )
+        assert search.fw_minimum().sizes == (30,)
+
     def test_infeasible_gen0_candidates_skipped(self):
         # gen0 below 15 never satisfies the rule, at any gen1; the joint
         # search must skip those candidates rather than error out.
@@ -165,3 +180,89 @@ class TestElMinimum:
         outcome = search.fw_minimum()
         assert outcome.runs == len(outcome.history)
         assert all(isinstance(flag, bool) for _, flag in outcome.history)
+
+
+#: Short real searches: the FW one and the EL one (one gen-0 candidate, no
+#: refinement) of a reduced Figure 4 column at the 5 % mix.
+SHORT_SEARCHES = {
+    "fw": (
+        SimulationConfig.firewall(64, long_fraction=0.05, runtime=10.0),
+        lambda search: search.fw_minimum(),
+    ),
+    "el": (
+        SimulationConfig.ephemeral(
+            (18, 16), recirculation=False, long_fraction=0.05, runtime=10.0
+        ),
+        lambda search: search.el_minimum((16,), refine_radius=0),
+    ),
+}
+
+
+def without_wall(result: SimulationResult) -> dict:
+    data = result.to_dict()
+    data.pop("wall_seconds")
+    return data
+
+
+def full_span(config: SimulationConfig) -> SimulationConfig:
+    return config.replace(stop_at_first_kill=False)
+
+
+@pytest.fixture(scope="module", params=sorted(SHORT_SEARCHES))
+def searched(request):
+    """A stopping search, the same search forced to full spans, and every
+    probe the stopping one ran (config, result)."""
+    template, minimise = SHORT_SEARCHES[request.param]
+    probes = []
+
+    def recording(config: SimulationConfig) -> SimulationResult:
+        result = run_simulation(config)
+        probes.append((config, result))
+        return result
+
+    stopping = minimise(SpaceSearch(template, recording))
+    full = minimise(
+        SpaceSearch(template, lambda config: run_simulation(full_span(config)))
+    )
+    return stopping, full, probes
+
+
+class TestStopAtFirstKill:
+    def test_same_outcome_as_full_spans(self, searched):
+        stopping, full, _ = searched
+        assert stopping.sizes == full.sizes
+        assert stopping.runs == full.runs
+        assert stopping.history == full.history
+        assert stopping.result.stopped_at is None
+        assert without_wall(stopping.result) == without_wall(full.result)
+
+    def test_rejected_probes_stop_at_their_first_kill(self, searched):
+        _, _, probes = searched
+        stopped = [(c, r) for c, r in probes if r.stopped_at is not None]
+        assert stopped, "the search should reject at least one size by a kill"
+        for config, result in probes:
+            assert config.stop_at_first_kill
+            assert (result.stopped_at is None) == result.no_kills
+        for config, result in stopped:
+            assert 0 < result.stopped_at < config.runtime
+            assert result.transactions_killed >= 1
+            assert not result.no_kills
+        config, result = stopped[0]
+        assert config.fingerprint() != full_span(config).fingerprint()
+        whole = run_simulation(full_span(config))
+        assert whole.stopped_at is None
+        assert whole.events_executed > result.events_executed
+
+    def test_shared_cache_never_serves_a_stopped_result(self, searched, tmp_path):
+        _, _, probes = searched
+        config, stopped = next((c, r) for c, r in probes if r.stopped_at is not None)
+        cache = SweepCache(tmp_path)
+        with ParallelRunner(jobs=1, cache=cache) as runner:
+            assert runner.run_one(config).stopped_at == stopped.stopped_at
+        with ParallelRunner(jobs=1, cache=cache) as runner:
+            whole = runner.run_one(full_span(config))
+            assert runner.runs_executed == 1 and runner.cache_hits == 0
+            assert runner.run_one(config).stopped_at == stopped.stopped_at
+            assert runner.cache_hits == 1
+        assert whole.stopped_at is None
+        assert without_wall(whole) == without_wall(run_simulation(full_span(config)))

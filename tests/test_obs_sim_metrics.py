@@ -151,7 +151,7 @@ def manager_ints(manager, prefix: str = "") -> dict:
         f"{source}.garbage_discarded": manager.garbage_copies_discarded,
         f"{source}.gap_episodes": manager.gap_episodes,
         f"{source}.demand_flushes": (
-            manager.scheduler.demand_flushes - manager.records_stabilised
+            manager.scheduler.demand_flushes - manager.fault_demand_flushes
         ),
     }
     if manager.trace_source == "fw":
@@ -211,7 +211,7 @@ def test_every_count_reports_its_int(runs, case):
 
 
 def test_fault_run_counts_are_pinned(runs):
-    """The fault paths' counts, demand flushes net of stabilising ones."""
+    """The fault paths' counts; demand flushes net of the fault path's own."""
     _, snapshot = runs["el-faults"]
     values = {
         name: (metric["value"], metric.get("peak"))
@@ -222,7 +222,7 @@ def test_fault_run_counts_are_pinned(runs):
         "el.aborted": (0, None),
         "el.begun": (1501, None),
         "el.committed": (1347, None),
-        "el.demand_flushes": (2, None),
+        "el.demand_flushes": (0, None),
         "el.emergency_recirculations": (0, None),
         "el.fault.blocks_retired": (3, None),
         "el.fault.deferred_acks": (0, None),
