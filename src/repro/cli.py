@@ -28,6 +28,7 @@ from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.harness.config import SimulationConfig
+    from repro.harness.sweep import SweepCache
     from repro.workload.spec import SkewSpec
 
 #: ``Technique`` values, spelled out so building the parser imports no
@@ -226,6 +227,19 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    import tempfile
+
+    from repro.harness.sweep import SweepCache
+
+    if not args.no_cache:
+        return _figure(args, SweepCache())
+    # The command's own empty cache: the user's is neither read nor written,
+    # and the figures one command computes still share their runs.
+    with tempfile.TemporaryDirectory(prefix="repro-figure-") as directory:
+        return _figure(args, SweepCache(Path(directory)))
+
+
+def _figure(args: argparse.Namespace, cache: "SweepCache") -> int:
     from repro.harness.experiments import (
         headline_claims,
         run_figure_7,
@@ -236,10 +250,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         shard_scaling_text,
     )
     from repro.harness.scale import Scale
-    from repro.harness.sweep import SweepCache
 
     scale = Scale.from_env()
-    cache = SweepCache(enabled=not args.no_cache)
     manifest_dir = args.manifest_dir
     jobs = _jobs(args)
     which = args.which
@@ -628,7 +640,11 @@ def build_parser() -> argparse.ArgumentParser:
         "which", choices=["4", "5", "6", "7", "scarce", "headline", "shards"]
     )
     figure_parser.add_argument("--seed", type=int, default=0)
-    figure_parser.add_argument("--no-cache", action="store_true")
+    figure_parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="start the command from an empty cache (yours is left untouched)",
+    )
     figure_parser.add_argument(
         "--manifest-dir",
         default=None,

@@ -14,8 +14,11 @@
   the sharded log versus shard count under weak scaling, with the gates
   :func:`shard_scaling_failures` checks.
 
-Each paper driver returns a result object that can render its figure as a
-text table and serialise to JSON for :class:`~repro.harness.sweep.SweepCache`.
+Each paper driver returns a result object that renders its figure as a
+text table.  The drivers keep no result of their own: every search and walk
+runs through a :class:`~repro.harness.parallel.ParallelRunner`, whose
+per-run cache answers each probe a previous command already ran, so a
+figure is recomputed from its runs.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from repro.constants import ARRIVAL_RATE_TPS
+from repro.constants import ARRIVAL_RATE_TPS, GAP_THRESHOLD_BLOCKS
 from repro.harness.config import SimulationConfig
 from repro.harness.parallel import ParallelRunner
 from repro.harness.results import SimulationResult
@@ -179,24 +182,6 @@ class Figures456Result:
             ],
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "scale_label": self.scale_label,
-            "runtime": self.runtime,
-            "seed": self.seed,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Figures456Result":
-        points = [MixPoint(**p) for p in data["points"]]
-        return cls(
-            scale_label=data["scale_label"],
-            runtime=data["runtime"],
-            seed=data["seed"],
-            points=points,
-        )
-
 
 def _figures_456_point(
     scale: Scale, seed: int, fraction: float, runner: ParallelRunner
@@ -251,13 +236,6 @@ def run_figures_4_5_6(
     """
     scale = scale or Scale.from_env()
     cache = cache or SweepCache()
-    key = f"fig456-{scale.label}-seed{seed}"
-    cached = cache.get(key)
-    if cached is not None:
-        result = Figures456Result.from_dict(cached)
-        _publish_manifest("figures456", scale, seed, result.to_dict(), manifest_dir)
-        return result
-
     result = Figures456Result(scale_label=scale.label, runtime=scale.runtime, seed=seed)
     with ParallelRunner(jobs=jobs, cache=cache) as runner:
         if runner.jobs > 1 and len(scale.mix_points) > 1:
@@ -278,9 +256,8 @@ def run_figures_4_5_6(
                 for fraction in scale.mix_points
             ]
     result.points.extend(points)
-    cache.put(key, result.to_dict())
     _publish_manifest(
-        "figures456", scale, seed, result.to_dict(), manifest_dir, runner=runner
+        "figures456", scale, seed, asdict(result), manifest_dir, runner=runner
     )
     return result
 
@@ -341,23 +318,6 @@ class Figure7Result:
             rows,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "scale_label": self.scale_label,
-            "runtime": self.runtime,
-            "seed": self.seed,
-            "gen0_blocks": self.gen0_blocks,
-            "fw_blocks": self.fw_blocks,
-            "fw_bandwidth_wps": self.fw_bandwidth_wps,
-            "points": [asdict(p) for p in self.points],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Figure7Result":
-        points = [Figure7Point(**p) for p in data["points"]]
-        payload = {k: v for k, v in data.items() if k != "points"}
-        return cls(points=points, **payload)
-
 
 def run_figure_7(
     scale: Optional[Scale] = None,
@@ -378,15 +338,6 @@ def run_figure_7(
     """
     scale = scale or Scale.from_env()
     cache = cache or SweepCache()
-    key = f"fig7-{scale.label}-seed{seed}-mix{long_fraction}"
-    if gen0_blocks is not None or gen1_start is not None:
-        key += f"-g0{gen0_blocks}-g1{gen1_start}"
-    cached = cache.get(key)
-    if cached is not None:
-        result = Figure7Result.from_dict(cached)
-        _publish_manifest("figure7", scale, seed, result.to_dict(), manifest_dir)
-        return result
-
     fig456 = run_figures_4_5_6(scale, seed=seed, cache=cache, jobs=jobs)
     reference = min(
         fig456.points, key=lambda p: abs(p.long_fraction - long_fraction)
@@ -412,7 +363,7 @@ def run_figure_7(
             seed=seed,
         )
 
-    floor = 3  # gap + 1
+    floor = GAP_THRESHOLD_BLOCKS + 1  # the searches' floor
     gen1_values = list(range(start_gen1, floor - 1, -1))
     with ParallelRunner(jobs=jobs, cache=cache) as runner:
         for index, gen1 in enumerate(gen1_values):
@@ -436,9 +387,8 @@ def run_figure_7(
             )
             if not run.no_kills:
                 break  # one infeasible point past the minimum, as in the paper
-    cache.put(key, result.to_dict())
     _publish_manifest(
-        "figure7", scale, seed, result.to_dict(), manifest_dir, runner=runner
+        "figure7", scale, seed, asdict(result), manifest_dir, runner=runner
     )
     return result
 
@@ -485,13 +435,6 @@ class ScarceFlushResult:
         ]
         return "\n".join(lines)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScarceFlushResult":
-        return cls(**data)
-
 
 def run_scarce_flush(
     scale: Optional[Scale] = None,
@@ -504,13 +447,6 @@ def run_scarce_flush(
     """The 45 ms flush-transfer experiment (E5)."""
     scale = scale or Scale.from_env()
     cache = cache or SweepCache()
-    key = f"scarce3-{scale.label}-seed{seed}-mix{long_fraction}"
-    cached = cache.get(key)
-    if cached is not None:
-        result = ScarceFlushResult.from_dict(cached)
-        _publish_manifest("scarce-flush", scale, seed, result.to_dict(), manifest_dir)
-        return result
-
     template = SimulationConfig.ephemeral(
         (20, 11),
         recirculation=True,
@@ -570,9 +506,8 @@ def run_scarce_flush(
         recirculated_records=outcome.result.recirculated_records,
         mean_seek_distance_baseline=baseline.flush_mean_seek_distance,
     )
-    cache.put(key, result.to_dict())
     _publish_manifest(
-        "scarce-flush", scale, seed, result.to_dict(), manifest_dir, runner=runner
+        "scarce-flush", scale, seed, asdict(result), manifest_dir, runner=runner
     )
     return result
 

@@ -2,12 +2,12 @@
 
 The figure drivers run many simulations; a small on-disk cache makes
 re-rendering a figure (or ``repro figure 5`` after ``repro figure 4``,
-which share one sweep) cheap.  Two kinds of entry share the store: one
-document per figure-level sweep, and one per simulation run, keyed by the
-config fingerprint (see :class:`~repro.harness.parallel.ParallelRunner`),
-so every sweep, ``repro figure shards`` included, replays its runs from
-disk.  Keys include every parameter that affects the result plus a format
-version, so stale entries are never silently reused.
+which share one sweep) cheap.  The store holds one document per
+simulation run, keyed by the config fingerprint (see
+:class:`~repro.harness.parallel.ParallelRunner`); a figure keeps no entry
+of its own and is recomputed from its runs, so a change to a search or a
+driver shows at once.  Keys include every parameter that affects a run
+plus a format version, so stale runs are never silently reused.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
-#: Bump when result formats or simulation semantics change.
+#: Bump when what one run computes changes (its result format or the
+#: simulation's semantics); a search or driver change needs no bump.
 #: v4: filenames carry a digest of the raw key (collision fix) and the
 #: per-run cache keys results by config fingerprint.
 #: v5: sharded results carry the optional ``sharding`` dict.
@@ -38,9 +39,8 @@ def default_cache_dir() -> Path:
 class SweepCache:
     """A tiny key → JSON document store on disk."""
 
-    def __init__(self, directory: Optional[Path] = None, enabled: bool = True):
+    def __init__(self, directory: Optional[Path] = None):
         self.directory = Path(directory) if directory else default_cache_dir()
-        self.enabled = enabled
         self.hits = 0
         self.misses = 0
         #: Entries found truncated/corrupt and moved aside (kept for
@@ -58,8 +58,6 @@ class SweepCache:
         return self.directory / f"v{CACHE_VERSION}-{safe[:96]}-{digest}.json"
 
     def get(self, key: str) -> Optional[dict]:
-        if not self.enabled:
-            return None
         path = self._path(key)
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -104,8 +102,6 @@ class SweepCache:
         return target
 
     def put(self, key: str, document: dict) -> None:
-        if not self.enabled:
-            return
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         # Unique tmp name so concurrent writers of the same key never
@@ -114,15 +110,6 @@ class SweepCache:
         with open(tmp, "w", encoding="utf-8") as handle:
             json.dump(document, handle, indent=1, sort_keys=True)
         os.replace(tmp, path)
-
-    def get_or_compute(self, key: str, compute: Callable[[], dict]) -> dict:
-        """Fetch ``key`` or compute, store and return it."""
-        cached = self.get(key)
-        if cached is not None:
-            return cached
-        document = compute()
-        self.put(key, document)
-        return document
 
     def clear(self) -> int:
         """Delete every cache file; returns how many were removed."""

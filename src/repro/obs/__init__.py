@@ -173,25 +173,30 @@ class Observability:
             summary["jsonl_events_written"] = self.trace.events_written
         return summary
 
-    def build_manifest(
+    def finalise(
         self,
         label: str,
         seed: int,
         config: Dict[str, Any],
         sim: Optional[Dict[str, Any]] = None,
-        counters: Optional[Dict[str, Any]] = None,
         wall_seconds: Optional[float] = None,
-    ) -> RunManifest:
-        """Assemble the run manifest from the final state of this bundle."""
+    ) -> Optional[RunManifest]:
+        """Close sinks and, if configured, write the run manifest to disk.
+
+        The manifest is assembled from the final state of this bundle; its
+        counts are the metrics snapshot, so its ``counters`` block is empty.
+        """
+        self.close()
+        if self.config.manifest_path is None:
+            return None
         from repro.obs.manifest import RunManifest, describe_code
 
-        return RunManifest(
+        manifest = RunManifest(
             label=label,
             seed=seed,
             config=config,
             code=describe_code(),
             sim=sim or {},
-            counters=counters or {},
             metrics=self.metrics.snapshot(),
             trace=self.trace_summary(),
             wall_seconds=(
@@ -199,23 +204,6 @@ class Observability:
                 if wall_seconds is not None
                 else time.perf_counter() - self._started_wall
             ),
-        )
-
-    def finalise(
-        self,
-        label: str,
-        seed: int,
-        config: Dict[str, Any],
-        sim: Optional[Dict[str, Any]] = None,
-        counters: Optional[Dict[str, Any]] = None,
-        wall_seconds: Optional[float] = None,
-    ) -> Optional[RunManifest]:
-        """Close sinks and, if configured, write the manifest to disk."""
-        self.close()
-        if self.config.manifest_path is None:
-            return None
-        manifest = self.build_manifest(
-            label, seed, config, sim=sim, counters=counters, wall_seconds=wall_seconds
         )
         manifest.write(self.config.manifest_path)
         return manifest

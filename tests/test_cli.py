@@ -197,6 +197,36 @@ class TestFigureCommand:
         assert "space ratio" in output
         assert "[scale: smoke]" in output
 
+    def test_no_cache_runs_each_config_once(self, capsys, monkeypatch, tmp_path):
+        # headline reads the Figure 4-6 sweep twice, directly and inside
+        # Figure 7.  --no-cache starts the command from an empty cache of
+        # its own, so the second read replays the first one's runs, and the
+        # user's cache is never written.
+        from repro.harness import parallel
+        from repro.harness.scale import Scale
+
+        tiny = Scale(
+            label="cli-tiny",
+            runtime=20.0,
+            mix_points=(0.05,),
+            gen0_candidates=(16, 18),
+            gen0_refine_radius=0,
+        )
+        monkeypatch.setattr(Scale, "from_env", classmethod(lambda cls: tiny))
+        fingerprints = []
+        simulate = parallel.run_simulation
+
+        def counting(config):
+            fingerprints.append(config.fingerprint())
+            return simulate(config)
+
+        monkeypatch.setattr(parallel, "run_simulation", counting)
+        assert main(["figure", "headline", "--no-cache", "--jobs", "1"]) == 0
+        assert "space ratio" in capsys.readouterr().out
+        assert fingerprints
+        assert len(fingerprints) == len(set(fingerprints))
+        assert not (tmp_path / "cache").exists()
+
     def test_figure4_uses_cache_on_second_call(self, capsys):
         assert main(["figure", "4"]) == 0
         first = capsys.readouterr().out

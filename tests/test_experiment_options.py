@@ -4,6 +4,8 @@ realism on live simulation output)."""
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.harness.config import SimulationConfig
@@ -43,7 +45,8 @@ class TestFigure7Overrides:
         assert result.points[0].total_blocks == 30
 
     def test_cache_key_includes_overrides(self, tiny_scale, cache):
-        # Different override values must not collide in the cache.
+        # The overrides reach the run fingerprints, so different values
+        # never share a cached run.
         twelve = run_figure_7(tiny_scale, cache=cache, gen0_blocks=18, gen1_start=12)
         six = run_figure_7(tiny_scale, cache=cache, gen0_blocks=18, gen1_start=6)
         assert twelve.points[0].gen1_blocks == 12
@@ -51,7 +54,7 @@ class TestFigure7Overrides:
         key_before = cache.hits
         again = run_figure_7(tiny_scale, cache=cache, gen0_blocks=18, gen1_start=6)
         assert cache.hits > key_before  # identical call hits the cache
-        assert again.to_dict() == six.to_dict()
+        assert asdict(again) == asdict(six)
 
 
 class TestFiguresSweepInternals:

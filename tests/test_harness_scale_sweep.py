@@ -93,24 +93,6 @@ class TestSweepCache:
         assert cache.get("nope") is None
         assert cache.misses == 1
 
-    def test_get_or_compute(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return {"v": 7}
-
-        assert cache.get_or_compute("k", compute) == {"v": 7}
-        assert cache.get_or_compute("k", compute) == {"v": 7}
-        assert len(calls) == 1
-
-    def test_disabled_cache_never_stores(self, tmp_path):
-        cache = SweepCache(tmp_path, enabled=False)
-        cache.put("k", {"a": 1})
-        assert cache.get("k") is None
-        assert not list(tmp_path.glob("*.json"))
-
     def test_unsafe_key_characters_sanitised(self, tmp_path):
         cache = SweepCache(tmp_path)
         cache.put("a/b c:d", {"x": 1})
