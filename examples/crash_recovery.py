@@ -14,13 +14,8 @@ Run:  python examples/crash_recovery.py
 
 import time
 
-from repro import (
-    RecoveryVerifier,
-    Simulation,
-    SimulationConfig,
-    SinglePassRecovery,
-    TwoPassRecovery,
-)
+from repro import Simulation, SimulationConfig, TwoPassRecovery
+from repro.faults.crash import crash_simulation
 
 CRASH_AT = 45.0
 
@@ -38,31 +33,31 @@ def main() -> None:
     print(f"Running until the crash at t={CRASH_AT:.0f}s ...")
     simulation.run_until(CRASH_AT)
 
-    # Everything below is what survives a power failure: the stable
-    # database plus whatever block writes had completed.
-    durable_log = simulation.capture_durable_log()
+    # Keep only what survives a power failure — the stable database plus
+    # whatever block writes had completed — recover from it in a single
+    # pass, and check the result against the acknowledged updates.
+    start = time.perf_counter()
+    check = crash_simulation(simulation, CRASH_AT)
+    elapsed_ms = (time.perf_counter() - start) * 1000
     stable = simulation.capture_stable_database()
-    print(f"  durable log blocks : {len(durable_log)}")
+    recovery = check.recovery
+    print(f"  durable log blocks : {check.captured_blocks}")
     print(f"  stable DB objects  : {len(stable)}")
 
-    recovery = SinglePassRecovery(durable_log)
-    start = time.perf_counter()
-    recovered = recovery.recover(stable)
-    elapsed_ms = (time.perf_counter() - start) * 1000
-    print(f"\nSingle-pass recovery in {elapsed_ms:.2f} ms:")
+    print(f"\nSingle-pass recovery and check in {elapsed_ms:.2f} ms:")
     print(f"  records applied          : {recovery.records_applied}")
     print(f"  stale copies skipped     : {recovery.records_skipped_stale}")
     print(f"  loser-transaction records: {recovery.records_skipped_loser}")
+    print(f"  log-essential updates    : {check.log_essential}")
 
     # The traditional two-pass method must agree exactly.
-    assert TwoPassRecovery(durable_log).recover(stable) == recovered
+    assert TwoPassRecovery(recovery.images).recover(stable) == check.recovered
     print("  two-pass oracle agrees   : yes")
 
-    verifier = RecoveryVerifier(simulation.generator.acked_updates)
-    verdict = verifier.verify(CRASH_AT, recovered)
-    print(f"\nVerification against {verdict.expected_objects} acknowledged "
-          f"objects: {'OK' if verdict.ok else 'FAILED'}")
-    assert verdict.ok, verdict.mismatches[:5]
+    report = check.report
+    print(f"\nVerification against {report.expected_objects} acknowledged "
+          f"objects: {'OK' if report.ok else 'FAILED'}")
+    assert report.ok, (report.lost_updates[:5], report.phantom_objects[:5])
     print("Every acknowledged update survived; no unacknowledged work "
           "reappeared.")
 

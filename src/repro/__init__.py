@@ -42,8 +42,6 @@ _EXPORTS = {
     "SimulationResult": "repro.harness.results",
     "Scale": "repro.harness.scale",
     "SpaceSearch": "repro.harness.search",
-    "minimum_el_sizes": "repro.harness.search",
-    "minimum_fw_blocks": "repro.harness.search",
     "SinglePassRecovery": "repro.recovery.single_pass",
     "TwoPassRecovery": "repro.recovery.two_pass",
     "RecoveryVerifier": "repro.recovery.verify",

@@ -375,45 +375,26 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
+    from repro.faults.crash import crash_simulation
     from repro.harness.simulator import Simulation
-    from repro.recovery.single_pass import SinglePassRecovery
-    from repro.recovery.verify import RecoveryVerifier
 
     config = _base_config(args).replace(collect_truth=True)
     simulation = Simulation(config)
-    simulation.run_until(args.crash_at)
-    images = simulation.capture_durable_log()
-    stable = simulation.capture_stable_database()
-    recovery = SinglePassRecovery(images)
-    recovered = recovery.recover(stable)
-    verifier = RecoveryVerifier(simulation.generator.acked_updates)
+    check = crash_simulation(simulation, args.crash_at)
+    report = check.report
     print(f"crash at             : t={args.crash_at:.2f}s")
-    print(f"durable log blocks   : {len(images)}")
-    print(f"stable DB objects    : {len(stable)}")
-    print(f"records applied      : {recovery.records_applied}")
-    print(f"loser records skipped: {recovery.records_skipped_loser}")
-    if config.shards > 1:
-        # A cross-shard transaction crashed between its first and last
-        # durable COMMIT recovers as committed without ever having been
-        # acknowledged — legal, so the strict acknowledged-only diff does
-        # not apply.  Check the crash-consistency invariants instead:
-        # no lost acknowledged update, no unexplained recovered value.
-        report = verifier.check_crash_consistency(
-            args.crash_at, recovered, scan=recovery.scan, stable=stable
-        )
-        print(f"expected objects     : {report.expected_objects}")
-        print(f"verification         : {'OK' if report.ok else 'FAILED'}")
-        for oid, expected, got in report.lost_updates[:10]:
-            print(f"  lost oid={oid}: acknowledged {expected}, recovered {got}")
-        for oid, got in report.phantom_objects[:10]:
-            print(f"  phantom oid={oid}: recovered {got}")
-        return 0 if report.ok else 1
-    verdict = verifier.verify(args.crash_at, recovered)
-    print(f"expected objects     : {verdict.expected_objects}")
-    print(f"verification         : {'OK' if verdict.ok else 'FAILED'}")
-    for oid, expected, got in verdict.mismatches[:10]:
-        print(f"  mismatch oid={oid}: expected {expected}, recovered {got}")
-    return 0 if verdict.ok else 1
+    print(f"durable log blocks   : {check.captured_blocks}")
+    print(f"stable DB objects    : {len(simulation.database)}")
+    print(f"records applied      : {check.records_applied}")
+    print(f"loser records skipped: {check.recovery.records_skipped_loser}")
+    print(f"log-essential updates: {check.log_essential}")
+    print(f"expected objects     : {report.expected_objects}")
+    print(f"verification         : {'OK' if report.ok else 'FAILED'}")
+    for oid, expected, got in report.lost_updates[:10]:
+        print(f"  lost oid={oid}: acknowledged {expected}, recovered {got}")
+    for oid, got in report.phantom_objects[:10]:
+        print(f"  phantom oid={oid}: recovered {got}")
+    return 0 if report.ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -448,7 +429,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         print(f"crash at t={check.time:<8.2f}: {check.captured_blocks} blocks "
               f"({check.report.unreadable_blocks} unreadable, "
               f"{check.report.corrupt_blocks} torn), "
-              f"{check.records_applied} records applied -> {verdict}")
+              f"{check.records_applied} records applied, "
+              f"{check.log_essential} log-essential -> {verdict}")
     faults = result.faults or {}
     print(f"transactions         : {result.transactions_committed} committed, "
           f"{result.transactions_killed} killed, "

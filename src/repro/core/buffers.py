@@ -97,10 +97,6 @@ class BufferPool:
         if len(self._free) < self.capacity:
             self._free.append(buffer)
 
-    @property
-    def free_count(self) -> int:
-        return len(self._free)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<BufferPool capacity={self.capacity} in_use={self.in_use} "

@@ -131,14 +131,6 @@ class CellList:
         cell.list = None
         self._count -= 1
 
-    def pop_head(self) -> Cell:
-        """Remove and return the cell nearest the head."""
-        head = self.head
-        if head is None:
-            raise SimulationError("cell list is empty")
-        self.remove(head)
-        return head
-
     def iter_from_head(self) -> Iterator[Cell]:
         """Iterate cells head → tail (oldest record first)."""
         cell = self.head

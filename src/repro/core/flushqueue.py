@@ -223,11 +223,6 @@ class FlushScheduler:
         """Pending requests over all drives (excludes in-service ones)."""
         return self._backlog
 
-    @property
-    def max_rate(self) -> float:
-        """Aggregate service rate in flushes/second (the paper's headline)."""
-        return sum(1.0 / d.write_seconds for d in self.drives)
-
     def mean_seek_distance(self) -> float:
         """Average oid distance between successive flushes, over all drives."""
         total = sum(d.stats.seek_distance_total for d in self.drives)

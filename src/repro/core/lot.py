@@ -37,9 +37,6 @@ class LotEntry:
         """True when the object has no non-garbage data records left."""
         return self.committed_cell is None and not self.uncommitted_cells
 
-    def cell_count(self) -> int:
-        return (1 if self.committed_cell is not None else 0) + len(self.uncommitted_cells)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<LotEntry oid={self.oid} committed={self.committed_cell is not None} "

@@ -199,10 +199,6 @@ class SimulationConfig:
     def total_blocks(self) -> int:
         return sum(self.generation_sizes)
 
-    def with_sizes(self, sizes: Sequence[int]) -> "SimulationConfig":
-        """A copy with different generation sizes (used by the searches)."""
-        return dataclasses.replace(self, generation_sizes=tuple(sizes))
-
     def replace(self, **changes) -> "SimulationConfig":
         """A modified copy (thin wrapper over :func:`dataclasses.replace`)."""
         return dataclasses.replace(self, **changes)

@@ -72,8 +72,6 @@ def _publish_manifest(
             "jobs": runner.jobs,
             "runs_executed": runner.runs_executed,
             "cache_hits": runner.cache_hits,
-            "timeouts": runner.timeouts,
-            "retries_used": runner.retries_used,
             "workers": aggregate_worker_manifests(runner.worker_manifests),
         }
     manifest = RunManifest(

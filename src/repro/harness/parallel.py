@@ -14,10 +14,10 @@ figure sweep).  :class:`ParallelRunner` fans those runs across a
   ``run-<config fingerprint>`` keys, so probes shared between experiments
   (the Figure 4/5/6 sweep, Figure 7, the ablations) execute at most once
   per cache directory, across processes and across invocations.
-* **Fault handling** — a per-run ``timeout`` and ``retries`` budget; a run
-  that keeps failing raises
-  :class:`~repro.errors.ParallelExecutionError` instead of hanging the
-  sweep.
+* **Failures** — a run that raises in a worker raises
+  :class:`~repro.errors.ParallelExecutionError`; runs are deterministic,
+  so a retry would raise again.  Ctrl-C or a dead pool raises
+  :class:`~repro.errors.SweepInterruptedError` naming the completed runs.
 * **Observability** — every executed run contributes a small worker
   manifest (pid, wall seconds, fingerprint, event count) that
   :func:`repro.obs.manifest.aggregate_worker_manifests` folds into the
@@ -93,19 +93,13 @@ class ParallelRunner:
         self,
         jobs: Optional[int] = None,
         cache: Optional[SweepCache] = None,
-        timeout: Optional[float] = None,
-        retries: int = 1,
         worker: Worker = execute_run,
     ):
         self.jobs = max(1, int(jobs) if jobs is not None else default_jobs())
         self.cache = cache
-        self.timeout = timeout
-        self.retries = max(0, retries)
         self.worker = worker
         self.runs_executed = 0
         self.cache_hits = 0
-        self.timeouts = 0
-        self.retries_used = 0
         self.worker_manifests: List[dict] = []
         self._pool: Optional[multiprocessing.pool.Pool] = None
         self._lock = threading.Lock()
@@ -238,45 +232,30 @@ class ParallelRunner:
     ) -> Dict[str, SimulationResult]:
         pool = self._ensure_pool()
         executed: Dict[str, SimulationResult] = {}
-        unresolved = {fp: config for fp, (config, _) in pending.items()}
+        async_results = {
+            fp: pool.apply_async(self.worker, (config,))
+            for fp, (config, _indexes) in pending.items()
+        }
+        failed: List[SimulationConfig] = []
         last_error: Optional[BaseException] = None
-        for attempt in range(self.retries + 1):
-            if not unresolved:
-                break
-            if attempt:
-                with self._lock:
-                    self.retries_used += len(unresolved)
-            async_results = {
-                fp: pool.apply_async(self.worker, (config,))
-                for fp, config in unresolved.items()
-            }
-            still_unresolved = {}
-            for fp, async_result in async_results.items():
-                try:
-                    result, manifest = async_result.get(self.timeout)
-                except multiprocessing.TimeoutError as exc:
-                    with self._lock:
-                        self.timeouts += 1
-                    last_error = exc
-                    still_unresolved[fp] = unresolved[fp]
-                except (KeyboardInterrupt, BrokenProcessPool) as exc:
-                    # Ctrl-C or a dead pool is not a per-run failure:
-                    # surface what already completed so the sweep can be
-                    # resumed from the cache instead of restarted.
-                    self.close()
-                    raise self._interrupted(exc, executed, pending) from exc
-                except Exception as exc:  # worker died or raised
-                    last_error = exc
-                    still_unresolved[fp] = unresolved[fp]
-                else:
-                    self._record(fp, result, manifest)
-                    executed[fp] = result
-            unresolved = still_unresolved
-        if unresolved:
-            sample = next(iter(unresolved.values()))
+        for fp, async_result in async_results.items():
+            try:
+                result, manifest = async_result.get()
+            except (KeyboardInterrupt, BrokenProcessPool) as exc:
+                # Ctrl-C or a dead pool is not a per-run failure:
+                # surface what already completed so the sweep can be
+                # resumed from the cache instead of restarted.
+                self.close()
+                raise self._interrupted(exc, executed, pending) from exc
+            except Exception as exc:  # the worker raised
+                last_error = exc
+                failed.append(pending[fp][0])
+            else:
+                self._record(fp, result, manifest)
+                executed[fp] = result
+        if failed:
             raise ParallelExecutionError(
-                f"{len(unresolved)} run(s) failed after {self.retries + 1} "
-                f"attempt(s); first: {sample!r}"
+                f"{len(failed)} run(s) failed; first: {failed[0]!r}"
             ) from last_error
         return executed
 

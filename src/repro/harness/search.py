@@ -314,24 +314,3 @@ class SpaceSearch:
                     best_result = result
         return SearchOutcome(best, best_result, self.runs, list(self.history))
 
-
-def minimum_fw_blocks(
-    template: SimulationConfig,
-    runner: Optional[Runner] = None,
-    parallel: Optional["ParallelRunner"] = None,
-) -> SearchOutcome:
-    """Convenience wrapper: minimum firewall log size for ``template``."""
-    return SpaceSearch(template, runner, parallel=parallel).fw_minimum()
-
-
-def minimum_el_sizes(
-    template: SimulationConfig,
-    gen0_candidates,
-    refine_radius: int = 1,
-    runner: Optional[Runner] = None,
-    parallel: Optional["ParallelRunner"] = None,
-) -> SearchOutcome:
-    """Convenience wrapper: joint EL (gen0, gen1) minimisation."""
-    return SpaceSearch(template, runner, parallel=parallel).el_minimum(
-        gen0_candidates, refine_radius
-    )

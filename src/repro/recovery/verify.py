@@ -17,25 +17,6 @@ from repro.recovery.analyzer import LogScan
 from repro.workload.generator import AckedUpdate
 
 
-@dataclass
-class VerificationResult:
-    """Outcome of one recovery check."""
-
-    crash_time: float
-    expected_objects: int
-    recovered_objects: int
-    #: (oid, expected value or None, recovered value or None)
-    mismatches: List[Tuple[int, object, object]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        status = "ok" if self.ok else f"{len(self.mismatches)} mismatches"
-        return f"<VerificationResult t={self.crash_time} {status}>"
-
-
 class RecoveryVerifier:
     """Builds the expected state from acknowledged updates and diffs it."""
 
@@ -52,32 +33,6 @@ class RecoveryVerifier:
             if version.is_newer_than(state.get(update.oid)):
                 state[update.oid] = version
         return state
-
-    def verify(
-        self, crash_time: float, recovered: Dict[int, ObjectVersion]
-    ) -> VerificationResult:
-        """Compare ``recovered`` with the expected state at ``crash_time``.
-
-        Values are compared object by object.  Objects absent from both are
-        implicitly equal (initial versions); an object present on only one
-        side is a mismatch.
-        """
-        expected = self.expected_state(crash_time)
-        result = VerificationResult(
-            crash_time=crash_time,
-            expected_objects=len(expected),
-            recovered_objects=len(recovered),
-        )
-        for oid, version in expected.items():
-            got = recovered.get(oid)
-            if got is None or got.value != version.value:
-                result.mismatches.append(
-                    (oid, version.value, got.value if got else None)
-                )
-        for oid, got in recovered.items():
-            if oid not in expected:
-                result.mismatches.append((oid, None, got.value))
-        return result
 
     def check_crash_consistency(
         self,
@@ -99,9 +54,15 @@ class RecoveryVerifier:
           version, it was already in the stable database, or a committed
           data record carrying it was durably in the log.
 
-        ``scan`` and ``stable`` widen the set of admissible explanations;
-        without them the check degenerates to the strict acknowledged-only
-        comparison of :meth:`verify`.
+        A recovered version *is* the acknowledged one when its timestamp
+        and value match: the hybrid regenerates records under fresh LSNs
+        with their original timestamps, so an LSN does not identify a
+        version across copies.
+
+        ``scan`` and ``stable`` widen the set of admissible explanations.
+        Without them the check is strict: a recovered object must hold
+        exactly its acknowledged version, or be absent when nothing was
+        acknowledged for it.
         """
         expected = self.expected_state(crash_time)
         report = CrashConsistencyReport(
@@ -134,7 +95,9 @@ class RecoveryVerifier:
                 continue  # already reported; a stale value is not a phantom
             got = recovered[oid]
             exp = expected.get(oid)
-            if exp is not None and got.lsn == exp.lsn:
+            if exp is not None and (got.timestamp, got.value) == (
+                exp.timestamp, exp.value
+            ):
                 continue
             in_stable = stable is not None and (
                 (held := stable.get(oid)) is not None and held.lsn == got.lsn

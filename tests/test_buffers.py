@@ -62,7 +62,6 @@ class TestBufferPool:
         assert pool.in_use == 1
         pool.release(a)
         assert pool.in_use == 0
-        assert pool.free_count == 2
 
     def test_peak_tracking(self):
         pool = BufferPool(4)

@@ -99,16 +99,6 @@ class TestCellList:
         assert len(cells) == 0
         assert not cell.linked
 
-    def test_pop_head(self):
-        cells = CellList(0)
-        a, b = make_cell(0), make_cell(1)
-        cells.append_tail(a)
-        cells.append_tail(b)
-        assert cells.pop_head() is a
-        assert cells.pop_head() is b
-        with pytest.raises(SimulationError):
-            cells.pop_head()
-
     def test_cannot_append_linked_cell(self):
         first, second = CellList(0), CellList(1)
         cell = make_cell()

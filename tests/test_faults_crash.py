@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -9,9 +10,15 @@ import pytest
 from repro.db.objects import ObjectVersion
 from repro.disk.block import BlockAddress, BlockImage
 from repro.errors import ConfigurationError
-from repro.faults.crash import capture_crash_images, run_crash_consistency
+from repro.faults import crash
+from repro.faults.crash import (
+    acks_can_lag,
+    capture_crash_images,
+    check_crash,
+    run_crash_consistency,
+)
 from repro.faults.plan import FaultPlan
-from repro.harness.config import SimulationConfig, Technique
+from repro.harness.config import SimulationConfig
 from repro.harness.simulator import Simulation
 from repro.records.data import DataLogRecord
 from repro.records.tx import BeginRecord, CommitRecord
@@ -68,6 +75,14 @@ class TestCrashConsistencyClassification:
         )
         assert report.lost_updates == [(1, 11, 10)]
         assert report.phantom_objects == []
+        # An older version is stale even when it carries the same value.
+        verifier = RecoveryVerifier(
+            [acked(1, 10, 0.1, 0, 0.2), acked(1, 10, 0.3, 5, 0.4)]
+        )
+        report = verifier.check_crash_consistency(
+            1.0, {1: version(10, 0.1, 0)}
+        )
+        assert report.lost_updates == [(1, 10, 10)]
 
     def test_unexplained_recovered_object_is_phantom(self):
         verifier = RecoveryVerifier([])
@@ -269,3 +284,105 @@ class TestRunCrashConsistency:
             == plain.transactions_committed
         )
         assert report.result.events_executed == plain.events_executed
+
+
+class TestStrictness:
+    """Whether the log and stable DB may explain a version is the run's."""
+
+    def test_derived_from_the_run(self):
+        plain = SimulationConfig.ephemeral((18, 16), runtime=10.0)
+        assert not acks_can_lag(plain)
+        assert acks_can_lag(plain.replace(shards=2))
+        assert acks_can_lag(plain.replace(faults=FaultPlan(crash_times=(5.0,))))
+        assert acks_can_lag(None)  # a live run
+
+    def test_strict_run_rejects_an_unacknowledged_version(self):
+        # Recovered from the log, but never acknowledged: a fault-free
+        # unsharded run acknowledges at durability, so this is a phantom.
+        commit = image(
+            0, BeginRecord(0, 1, 0.0), data(1, 1, 5, 50, 0.1),
+            CommitRecord(2, 1, 0.2),
+        )
+        plain = SimulationConfig.ephemeral((18, 16), runtime=10.0)
+        strict = check_crash([commit], {}, [], 1.0, plain)
+        assert strict.report.phantom_objects == [(5, 50)]
+        relaxed = check_crash([commit], {}, [], 1.0, plain.replace(shards=2))
+        assert relaxed.report.ok
+
+    def test_log_essential_counts_what_the_stable_db_lacks(self):
+        acked_updates = [
+            acked(1, 10, 0.1, 0, 0.2),  # installed
+            acked(2, 20, 0.1, 1, 0.2),  # stable copy is older
+            acked(3, 30, 0.1, 2, 0.2),  # never installed
+            acked(4, 40, 0.1, 3, 2.0),  # acknowledged after the crash
+        ]
+        stable = {1: version(10, 0.1, 0), 2: version(19, 0.05, 9)}
+        check = check_crash([], stable, acked_updates, 1.0)
+        assert check.log_essential == 2
+        assert len(check.report.lost_updates) == 2
+
+
+CI_CHAOS_RUNS = {
+    "el": ["--technique", "el", "--rate", "0.12", "--crashes", "3",
+           "--runtime", "40"],
+    "fw": ["--technique", "fw", "--rate", "0.12", "--crashes", "3",
+           "--runtime", "40"],
+    "el-2-shards": ["--technique", "el", "--rate", "0.1", "--crashes", "3",
+                    "--runtime", "40", "--shards", "2"],
+}
+
+
+class TestPlantedBugs:
+    """The CI chaos gates fail when recovery is handed a broken log.
+
+    Each run's crash points all hold log-essential updates, so a recovery
+    that ignores the log must lose exactly those.
+    """
+
+    def _chaos(self, tmp_path, name, capsys):
+        from repro.cli import main
+
+        path = tmp_path / f"{name}.json"
+        code = main(["chaos", *CI_CHAOS_RUNS[name], "--json", str(path)])
+        capsys.readouterr()
+        document = json.loads(path.read_text())
+        assert code == (0 if document["ok"] else 1)
+        return document
+
+    @pytest.mark.parametrize("name", sorted(CI_CHAOS_RUNS))
+    def test_unbroken_run_rests_on_the_log(self, tmp_path, name, capsys):
+        document = self._chaos(tmp_path, name, capsys)
+        assert document["ok"]
+        assert all(check["log_essential"] > 0 for check in document["checks"])
+
+    @pytest.mark.parametrize("name", sorted(CI_CHAOS_RUNS))
+    def test_recovery_without_the_log_loses_the_log_essential(
+        self, tmp_path, name, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(
+            crash, "capture_crash_images", lambda simulation, torn_rng=None: []
+        )
+        document = self._chaos(tmp_path, name, capsys)
+        assert not document["ok"]
+        for check in document["checks"]:
+            assert check["log_essential"] > 0
+            assert len(check["report"]["lost_updates"]) == check["log_essential"]
+            assert check["report"]["phantom_objects"] == []
+
+    @pytest.mark.parametrize("name", sorted(CI_CHAOS_RUNS))
+    def test_dropping_the_newest_durable_block_is_caught(
+        self, tmp_path, name, capsys, monkeypatch
+    ):
+        capture = crash.capture_crash_images
+
+        def drop_newest(simulation, torn_rng=None):
+            images = capture(simulation, torn_rng)
+            newest = max(
+                (image for image in images if image.write_lsn is not None),
+                key=lambda image: image.write_lsn,
+            )
+            return [image for image in images if image is not newest]
+
+        monkeypatch.setattr(crash, "capture_crash_images", drop_newest)
+        document = self._chaos(tmp_path, name, capsys)
+        assert document["violations"] > 0

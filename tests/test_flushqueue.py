@@ -106,10 +106,6 @@ class TestSubmission:
         scheduler, _, _ = make_scheduler(sim)
         assert scheduler.cancel(7) is None
 
-    def test_max_rate(self, sim):
-        scheduler, _, _ = make_scheduler(sim, drives=2, write_seconds=0.025)
-        assert scheduler.max_rate == pytest.approx(80.0)
-
 
 class TestLocalityScheduling:
     def test_nearest_pending_serviced_first(self, sim):

@@ -65,12 +65,6 @@ class TestHelpers:
         config = SimulationConfig(long_fraction=0.05, mix=explicit)
         assert config.workload_mix() is explicit
 
-    def test_with_sizes(self):
-        config = SimulationConfig(generation_sizes=(18, 16))
-        resized = config.with_sizes((20, 10))
-        assert resized.generation_sizes == (20, 10)
-        assert config.generation_sizes == (18, 16)  # original untouched
-
     def test_replace(self):
         config = SimulationConfig()
         changed = config.replace(runtime=60.0)

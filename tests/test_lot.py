@@ -26,7 +26,8 @@ class TestEntryLifecycle:
         assert 5 in lot
         assert len(lot) == 1
         entry = lot.get(5)
-        assert entry is not None and entry.cell_count() == 1
+        assert entry is not None and entry.committed_cell is None
+        assert len(entry.uncommitted_cells) == 1
 
     def test_entry_deleted_when_empty(self):
         lot = LoggedObjectTable()

@@ -157,27 +157,32 @@ class TestTwoPassAgreement:
 
 
 class TestVerifier:
+    """The strict check: no log or stable database explains a version."""
+
     def test_matching_state_passes(self):
         acked = [AckedUpdate(oid=1, value=10, timestamp=0.5, lsn=0, ack_time=1.0)]
         verifier = RecoveryVerifier(acked)
-        result = verifier.verify(2.0, {1: ObjectVersion(10, 0.5, 0)})
-        assert result.ok
+        report = verifier.check_crash_consistency(
+            2.0, {1: ObjectVersion(10, 0.5, 0)}
+        )
+        assert report.ok
 
     def test_missing_update_detected(self):
         acked = [AckedUpdate(oid=1, value=10, timestamp=0.5, lsn=0, ack_time=1.0)]
-        result = RecoveryVerifier(acked).verify(2.0, {})
-        assert not result.ok
-        assert result.mismatches == [(1, 10, None)]
+        report = RecoveryVerifier(acked).check_crash_consistency(2.0, {})
+        assert not report.ok
+        assert report.lost_updates == [(1, 10, None)]
 
     def test_unexpected_object_detected(self):
-        result = RecoveryVerifier([]).verify(2.0, {9: ObjectVersion(1, 0.1, 0)})
-        assert not result.ok
-        assert result.mismatches == [(9, None, 1)]
+        report = RecoveryVerifier([]).check_crash_consistency(
+            2.0, {9: ObjectVersion(1, 0.1, 0)}
+        )
+        assert not report.ok
+        assert report.phantom_objects == [(9, 1)]
 
     def test_updates_acked_after_crash_excluded(self):
         acked = [AckedUpdate(oid=1, value=10, timestamp=0.5, lsn=0, ack_time=5.0)]
-        result = RecoveryVerifier(acked).verify(2.0, {})
-        assert result.ok
+        assert RecoveryVerifier(acked).check_crash_consistency(2.0, {}).ok
 
     def test_newest_acked_update_expected(self):
         acked = [
@@ -187,18 +192,36 @@ class TestVerifier:
         verifier = RecoveryVerifier(acked)
         expected = verifier.expected_state(3.0)
         assert expected[1].value == 20
-        assert verifier.verify(3.0, {1: ObjectVersion(20, 1.5, 5)}).ok
+        assert verifier.check_crash_consistency(
+            3.0, {1: ObjectVersion(20, 1.5, 5)}
+        ).ok
+
+    def test_version_identified_by_timestamp_and_value(self):
+        # The hybrid regenerates a record under a fresh LSN with its
+        # original timestamp: the same version, another copy.
+        acked = [AckedUpdate(oid=1, value=10, timestamp=0.5, lsn=3, ack_time=1.0)]
+        verifier = RecoveryVerifier(acked)
+        assert verifier.check_crash_consistency(
+            2.0, {1: ObjectVersion(10, 0.5, 40)}
+        ).ok
+        other_value = verifier.check_crash_consistency(
+            2.0, {1: ObjectVersion(11, 0.5, 40)}
+        )
+        assert other_value.phantom_objects == [(1, 11)]
 
 
 class TestRecoveryCostTracksLogSize:
     """E7: "less disk space means faster recovery", measured end to end.
 
     EL (18, 16) and FW 123 run the paper's 5 % mix and crash at 0.8 x the
-    runtime; both must recover exactly the acknowledged state, and EL's
-    durable log must be the smaller one to scan.
+    runtime; both must recover exactly the acknowledged state, each crash
+    must hold acknowledged updates the stable database lacks (so only log
+    replay can pass it), and EL's durable log must be the smaller one to
+    scan.
     """
 
     def test_el_log_smaller_and_both_recover_exactly(self):
+        from repro.faults.crash import crash_simulation
         from repro.harness.config import SimulationConfig
         from repro.harness.simulator import Simulation
 
@@ -212,15 +235,10 @@ class TestRecoveryCostTracksLogSize:
                 123, runtime=runtime, collect_truth=True
             )),
         ):
-            simulation = Simulation(config)
-            simulation.run_until(crash_time)
-            log = simulation.capture_durable_log()
-            recovery = SinglePassRecovery(log)
-            state = recovery.recover(simulation.capture_stable_database())
-            verdict = RecoveryVerifier(simulation.generator.acked_updates).verify(
-                crash_time, state
-            )
-            assert verdict.ok, (name, verdict.mismatches[:5])
-            assert recovery.records_applied > 0
-            durable_blocks[name] = len(log)
+            check = crash_simulation(Simulation(config), crash_time)
+            report = check.report
+            assert report.ok, (name, report.lost_updates[:5], report.phantom_objects[:5])
+            assert check.records_applied > 0
+            assert check.log_essential > 0
+            durable_blocks[name] = check.captured_blocks
         assert durable_blocks["el"] < durable_blocks["fw"]

@@ -12,27 +12,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults.crash import crash_simulation
 from repro.harness.config import SimulationConfig, Technique
 from repro.harness.simulator import Simulation
-from repro.recovery.single_pass import SinglePassRecovery
 from repro.recovery.two_pass import TwoPassRecovery
-from repro.recovery.verify import RecoveryVerifier
 
 
 def crash_and_verify(config: SimulationConfig, crash_time: float) -> None:
     simulation = Simulation(config)
-    simulation.run_until(crash_time)
-    images = simulation.capture_durable_log()
-    stable = simulation.capture_stable_database()
-    recovered = SinglePassRecovery(images).recover(stable)
-    verifier = RecoveryVerifier(simulation.generator.acked_updates)
-    result = verifier.verify(crash_time, recovered)
-    assert result.ok, (
-        f"{len(result.mismatches)} mismatches at t={crash_time}: "
-        f"{result.mismatches[:5]}"
+    check = crash_simulation(simulation, crash_time)
+    report = check.report
+    assert report.ok, (
+        f"{report.violations} violations at t={crash_time}: "
+        f"lost {report.lost_updates[:5]}, phantom {report.phantom_objects[:5]}"
     )
     # The traditional two-pass structure must agree exactly.
-    assert TwoPassRecovery(images).recover(stable) == recovered
+    stable = simulation.capture_stable_database()
+    assert TwoPassRecovery(check.recovery.images).recover(stable) == check.recovered
 
 
 def small_config(**kwargs) -> SimulationConfig:
